@@ -114,9 +114,8 @@ class JsonReport {
     return *report;
   }
 
-  /// Standalone instance for a binary that exports a second report next to
-  /// the singleton (e.g. bench_micro's BENCH_micro.json beside
-  /// BENCH_parallel_speedup.json); call Write() explicitly.
+  /// Standalone instance for a binary that writes its report itself
+  /// (bench_micro's BENCH_micro.json); call Write() explicitly.
   JsonReport() = default;
 
   void Init(const std::string& bench_name) { name_ = bench_name; }

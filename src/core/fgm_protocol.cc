@@ -86,23 +86,13 @@ std::string FgmProtocol::name() const {
 
 void FgmProtocol::ProcessRecord(const StreamRecord& record) {
   if (sim_ != nullptr) SimTick();
-  const int64_t increment = LocalProcess(record, nullptr);
-  CommitRecords(1);
-  if (increment > 0) {
-    CommitEvent(LocalEvent{0, record.site, increment, 0.0});
-  }
-}
-
-int64_t FgmProtocol::LocalProcess(const StreamRecord& record, double* value) {
   FGM_CHECK(record.site >= 0 && record.site < sites_k_);
-  (void)value;  // FGM events carry the counter increment, not a φ-value.
-  FgmSite& site = sites_[static_cast<size_t>(record.site)];
-  return site.Process(*query_, record, sketch_timer_, safe_fn_timer_);
-}
-
-bool FgmProtocol::CommitEvent(const LocalEvent& event) {
+  const size_t s = static_cast<size_t>(record.site);
+  const int64_t increment =
+      sites_[s].Process(*query_, record, sketch_timer_, safe_fn_timer_);
+  ++total_updates_;
+  if (increment <= 0) return;
   if (sim_ != nullptr) {
-    const size_t s = static_cast<size_t>(event.site);
     // Sites post their CUMULATIVE per-subround counter as a one-word
     // fire-and-forget datagram: a lost or reordered datagram is healed by
     // any later one (the coordinator applies positive deltas only). A
@@ -110,87 +100,26 @@ bool FgmProtocol::CommitEvent(const LocalEvent& event) {
     // local drift but posts nothing; its contribution reaches E at the
     // next resync/flush.
     if (site_ok_[s] != 0 && in_round_[s] != 0) {
-      sim_->PostCounter(event.site, CounterMsg{sites_[s].counter()},
+      sim_->PostCounter(record.site, CounterMsg{sites_[s].counter()},
                         rounds_, subrounds_this_round_);
       DrainNetwork();
     }
-    return false;
+    return;
   }
-  if (SendCounterIncrement(event.site, event.weight)) {
-    PollAndAdvance();
-    return true;
-  }
-  return false;
-}
-
-bool FgmProtocol::SendCounterIncrement(int site, int64_t increment) {
   // One-word message carrying the increase to c_i.
   const CounterMsg delivered =
-      transport_->SendCounter(site, CounterMsg{increment});
+      transport_->SendCounter(record.site, CounterMsg{increment});
   counter_total_ += delivered.increment;
   if (trace_ != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kIncrementMsg;
     e.round = rounds_;
     e.subround = subrounds_this_round_;
-    e.site = site;
+    e.site = record.site;
     e.counter = delivered.increment;
     trace_->Emit(e);
   }
-  return counter_total_ > sites_k_;
-}
-
-void FgmProtocol::MaterializeForCommit() {
-  if (materialize_cb_ == nullptr) return;
-  commit_hard_ = true;
-  (*materialize_cb_)(commit_pos_);
-}
-
-int64_t FgmProtocol::CommitValueSeries(
-    const int32_t* site_by_pos, int64_t count, const ValueSeries* series,
-    const std::function<void(int64_t)>& materialize, bool fast_merge,
-    int64_t* soft_interactions) {
-  commit_cursor_.assign(static_cast<size_t>(sites_k_), 0);
-  materialize_cb_ = fast_merge ? nullptr : &materialize;
-  int64_t soft = 0;
-  int64_t consumed = count;
-  // Fast merge commits the whole window wholesale; account it upfront so
-  // a poll mid-walk sees every window record (deferral semantics).
-  if (fast_merge) total_updates_ += count;
-  for (int64_t pos = 0; pos < count; ++pos) {
-    const size_t shard = static_cast<size_t>(site_by_pos[pos]);
-    FGM_CHECK_LT(commit_cursor_[shard], series[shard].count);
-    const double v =
-        series[shard].values[static_cast<size_t>(commit_cursor_[shard]++)];
-    const int64_t increment = sites_[shard].CommitValue(v);
-    if (!fast_merge) ++total_updates_;
-    if (increment <= 0) continue;
-    commit_pos_ = pos;
-    if (!SendCounterIncrement(static_cast<int>(shard), increment)) continue;
-    if (fast_merge) {
-      // The interaction runs on live end-of-window state; detection for
-      // the values recorded after it defers to the next window.
-      for (int i = 0; i < sites_k_; ++i) {
-        if (in_round_[static_cast<size_t>(i)] != 0) {
-          sites_[static_cast<size_t>(i)].SyncCommittedToLive();
-        }
-      }
-      PollAndAdvance();
-      break;
-    }
-    commit_hard_ = false;
-    PollAndAdvance();
-    if (commit_hard_) {
-      consumed = pos + 1;
-      break;
-    }
-    ++soft;
-  }
-  materialize_cb_ = nullptr;
-  commit_pos_ = -1;
-  commit_hard_ = false;
-  if (soft_interactions != nullptr) *soft_interactions = soft;
-  return consumed;
+  if (counter_total_ > sites_k_) PollAndAdvance();
 }
 
 void FgmProtocol::StartRound() {
@@ -587,11 +516,8 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
     if (in_round_[static_cast<size_t>(i)] == 0) continue;
     const FgmSite& site = sites_[static_cast<size_t>(i)];
     transport_->ShipControl(i, ControlMsg{ControlOp::kPollPhi});
-    // The committed shadow value: identical to CurrentValue() in serial
-    // operation; during a value-series commit walk the evaluator has run
-    // ahead, and the shadow is the value as of the walk position.
     const PhiValueMsg reply =
-        transport_->SendPhiValue(i, PhiValueMsg{site.committed_value()});
+        transport_->SendPhiValue(i, PhiValueMsg{site.last_value()});
     psi += reply.value;
     delta_psi += site.SubroundValueRange();
   }
@@ -627,9 +553,7 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
       e.label = "psi-exhausted";
       trace_->Emit(e);
     }
-    // Subrounds exhausted for this safe function / scale. Rebalance and
-    // round end read true drift state: materialize the walk prefix first.
-    MaterializeForCommit();
+    // Subrounds exhausted for this safe function / scale.
     if (config_.rebalance) {
       TryRebalance();
     } else {
@@ -638,12 +562,10 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
   } else if (CheapRoundOverBudget()) {
     // A mispredicted cheap plan is burning subround overhead; cut the
     // round so the feedback guard can redirect the next one.
-    MaterializeForCommit();
     EndRound(/*already_flushed=*/false);
   } else if (subrounds_this_round_ >= config_.max_subrounds_per_round) {
     // Subround cap reached: end the round instead of aborting the run.
     ++overflow_rounds_;
-    MaterializeForCommit();
     EndRound(/*already_flushed=*/false);
   } else {
     StartSubround(last_psi_);

@@ -29,7 +29,6 @@
 #include "core/fgm_config.h"
 #include "core/fgm_site.h"
 #include "core/optimizer.h"
-#include "exec/sharded.h"
 #include "net/network.h"
 #include "net/protocol.h"
 #include "net/transport.h"
@@ -41,7 +40,7 @@
 
 namespace fgm {
 
-class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
+class FgmProtocol : public MonitoringProtocol {
  public:
   /// `query` must outlive the protocol.
   FgmProtocol(const ContinuousQuery* query, int num_sites, FgmConfig config);
@@ -101,41 +100,6 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   /// The transport carrying this protocol's messages (testing hook).
   const Transport& transport() const { return *transport_; }
 
-  // ShardedProtocol — one shard per site. Speculation may raise up to
-  // k - c + 1 more counter-increment weight before the commit path is
-  // guaranteed to trigger PollAndAdvance (counter_total_ > k).
-  int shard_count() const override { return sites_k_; }
-  int64_t SpeculationBudget() const override {
-    return static_cast<int64_t>(sites_k_) - counter_total_ + 1;
-  }
-  int64_t LocalProcess(const StreamRecord& record, double* value) override;
-  void CommitRecords(int64_t count) override { total_updates_ += count; }
-  bool CommitEvent(const LocalEvent& event) override;
-  void SaveCheckpoint(int shard) override {
-    sites_[static_cast<size_t>(shard)].SaveCheckpoint();
-  }
-  void RestoreCheckpoint(int shard) override {
-    sites_[static_cast<size_t>(shard)].RestoreCheckpoint();
-  }
-  bool SupportsSpeculation() const override { return sim_ == nullptr; }
-
-  // Value-series speculation (exec/sharded.h): the counter rule is scalar
-  // in the post-update value v = λφ(X_i/λ), so workers record v-series
-  // and the coordinator walk replays the rule over them, crossing
-  // subrounds softly. Only rebalance / round end / overflow materialize.
-  bool SupportsValueSeries() const override { return sim_ == nullptr; }
-  void SpeculateShard(int shard, const StreamRecord* base,
-                      const int64_t* positions, int64_t n,
-                      double* values) override {
-    sites_[static_cast<size_t>(shard)].SpeculateBatch(
-        *query_, base, positions, n, values, sketch_timer_, safe_fn_timer_);
-  }
-  int64_t CommitValueSeries(const int32_t* site_by_pos, int64_t count,
-                            const ValueSeries* series,
-                            const std::function<void(int64_t)>& materialize,
-                            bool fast_merge,
-                            int64_t* soft_interactions) override;
-
  private:
   void StartRound();
   /// Plan audit + time-series emission for the round that just ended.
@@ -156,14 +120,6 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   /// Bisection for µ* = inf{µ : φ(B/(µk)) ≥ 0}; returns a value in [0, 1],
   /// or 1 when even µ = 1 fails.
   double FindMuStar() const;
-  /// Sends one counter-increment message (shared by CommitEvent and the
-  /// value-series commit walk); returns true when the accumulated total
-  /// crossed k and the coordinator must poll.
-  bool SendCounterIncrement(int site, int64_t increment);
-  /// Inside a value-series commit walk: rebuilds true site drift state as
-  /// of the current walk position before a hard coordinator interaction.
-  /// No-op outside a walk (serial / sim operation) and under fast merge.
-  void MaterializeForCommit();
 
   // Simulated-network machinery (all no-ops when sim_ == nullptr).
   /// Per-record clock tick + drain, called at the top of ProcessRecord.
@@ -250,13 +206,6 @@ class FgmProtocol : public MonitoringProtocol, public ShardedProtocol {
   RealVector balance_;  // B
   double lambda_ = 1.0;
   double psi_b_ = 0.0;
-
-  // Value-series commit-walk state (non-null / live only inside
-  // CommitValueSeries; see exec/sharded.h).
-  const std::function<void(int64_t)>* materialize_cb_ = nullptr;
-  int64_t commit_pos_ = -1;   ///< walk position of the in-flight event
-  bool commit_hard_ = false;  ///< the last poll materialized (hard)
-  std::vector<int64_t> commit_cursor_;  ///< per-shard value-series cursor
 
   // Subround tracking.
   int64_t counter_total_ = 0;  // c

@@ -17,9 +17,7 @@ void FgmSite::BeginRound(const SafeFunction* fn) {
   updates_since_flush_ = 0;
   updates_in_round_ = 0;
   log_.Reset();
-  // The evaluator was just rebuilt, so live == committed by definition.
-  committed_v_ = CurrentValue();
-  checkpoint_.valid = false;
+  last_value_ = CurrentValue();
 }
 
 void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
@@ -37,28 +35,22 @@ void FgmSite::ResyncRound(const SafeFunction* fn, double lambda,
   }
   lambda_ = lambda;
   quantum_ = theta;
-  committed_v_ = CurrentValue();
-  z_ = committed_v_;
+  last_value_ = CurrentValue();
+  z_ = last_value_;
   value_min_ = z_;
   value_max_ = z_;
   counter_ = 0;
-  checkpoint_.valid = false;
 }
 
 void FgmSite::SetLambda(double lambda) {
   lambda_ = lambda;
-  // λ only changes at a coordinator rebalance, where the evaluator state
-  // is committed; refresh the shadow under the new scale.
-  committed_v_ = CurrentValue();
+  last_value_ = CurrentValue();
 }
 
 void FgmSite::BeginSubround(double quantum) {
   FGM_CHECK_GT(quantum, 0.0);
   quantum_ = quantum;
-  // Re-anchor on the committed value: identical to CurrentValue() in
-  // serial operation, and the correct baseline while speculation has the
-  // evaluator running ahead of the commit walk.
-  z_ = committed_v_;
+  z_ = last_value_;
   value_min_ = z_;
   value_max_ = z_;
   counter_ = 0;
@@ -79,27 +71,22 @@ int64_t FgmSite::Process(const ContinuousQuery& query,
 int64_t FgmSite::ApplyUpdate(const StreamRecord& record,
                              const std::vector<CellUpdate>& deltas) {
   log_.Record(record, dim_);
-  return CommitValue(ApplyDeltasValue(deltas.data(), deltas.size()));
+  return ApplyDeltas(deltas);
 }
 
 int64_t FgmSite::ApplyUpdate(const std::vector<CellUpdate>& deltas) {
   // An update the log does not see desynchronizes it from the drift; the
   // record-taking overload keeps it live.
   log_.Invalidate();
-  return CommitValue(ApplyDeltasValue(deltas.data(), deltas.size()));
+  return ApplyDeltas(deltas);
 }
 
-double FgmSite::ApplyDeltasValue(const CellUpdate* deltas, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    evaluator_->ApplyDelta(deltas[i].index, deltas[i].delta);
-  }
+int64_t FgmSite::ApplyDeltas(const std::vector<CellUpdate>& deltas) {
+  for (const CellUpdate& u : deltas) evaluator_->ApplyDelta(u.index, u.delta);
   ++updates_since_flush_;
   ++updates_in_round_;
-  return CurrentValue();
-}
-
-int64_t FgmSite::CommitValue(double v) {
-  committed_v_ = v;
+  const double v = CurrentValue();
+  last_value_ = v;
   if (v < value_min_) value_min_ = v;
   if (v > value_max_) value_max_ = v;
   const double steps = std::floor((v - z_) / quantum_);
@@ -114,70 +101,11 @@ int64_t FgmSite::CommitValue(double v) {
   return 0;
 }
 
-void FgmSite::SpeculateBatch(const ContinuousQuery& query,
-                             const StreamRecord* base,
-                             const int64_t* positions, int64_t n,
-                             double* values, WallTimer* sketch_timer,
-                             WallTimer* safe_fn_timer) {
-  // Map in blocks so the scratch buffer stays cache-resident while still
-  // amortizing the projection's row-major hash pass.
-  constexpr int64_t kMapBlock = 512;
-  for (int64_t start = 0; start < n; start += kMapBlock) {
-    const int64_t m = std::min(kMapBlock, n - start);
-    batch_deltas_.clear();
-    batch_ends_.clear();
-    {
-      ScopedTimer timed(sketch_timer);
-      query.MapRecordBatch(base, positions + start, m, &batch_deltas_,
-                           &batch_ends_);
-    }
-    ScopedTimer timed(safe_fn_timer);
-    size_t delta_begin = 0;
-    for (int64_t j = 0; j < m; ++j) {
-      log_.Record(base[positions[start + j]], dim_);
-      const size_t delta_end = batch_ends_[static_cast<size_t>(j)];
-      values[start + j] = ApplyDeltasValue(batch_deltas_.data() + delta_begin,
-                                           delta_end - delta_begin);
-      delta_begin = delta_end;
-    }
-  }
-}
-
-void FgmSite::ReplayUpdate(const ContinuousQuery& query,
-                           const StreamRecord& record) {
-  deltas_.clear();
-  query.MapRecord(record, &deltas_);
-  log_.Record(record, dim_);
-  for (const CellUpdate& u : deltas_) {
-    evaluator_->ApplyDelta(u.index, u.delta);
-  }
-  ++updates_since_flush_;
-  ++updates_in_round_;
-}
-
 void FgmSite::FlushReset() {
   evaluator_->Reset();
   updates_since_flush_ = 0;
   log_.Reset();
-  // The drift just went to zero under coordinator control: committed.
-  committed_v_ = CurrentValue();
-}
-
-void FgmSite::SaveCheckpoint() {
-  checkpoint_.evaluator = evaluator_->Clone();
-  checkpoint_.mark = log_.MarkPosition();
-  checkpoint_.updates_since_flush = updates_since_flush_;
-  checkpoint_.updates_in_round = updates_in_round_;
-  checkpoint_.valid = true;
-}
-
-void FgmSite::RestoreCheckpoint() {
-  FGM_CHECK(checkpoint_.valid);
-  evaluator_ = std::move(checkpoint_.evaluator);
-  log_.Rewind(checkpoint_.mark);
-  updates_since_flush_ = checkpoint_.updates_since_flush;
-  updates_in_round_ = checkpoint_.updates_in_round;
-  checkpoint_.valid = false;
+  last_value_ = CurrentValue();
 }
 
 }  // namespace fgm

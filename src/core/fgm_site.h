@@ -6,17 +6,6 @@
 //     c_i := max{c_i, ⌊(φ(X_i) - z_i)/θ⌋}
 // during subrounds. With rebalancing active the site monitors the
 // perspective λφ(X_i/λ) instead (§4.1).
-//
-// The per-update work is split in two halves so the parallel engine can
-// speculate (value-series model, exec/sharded.h):
-//   * the EVALUATOR side — map the record, apply the deltas, compute the
-//     post-update value v = λφ(X_i/λ) (SpeculateBatch / ApplyDeltasValue).
-//     This half never reads the subround scalars (z_i, θ, c_i), so it can
-//     run ahead of the coordinator;
-//   * the COMMIT side — the scalar counter rule over v (CommitValue),
-//     which advances z_i-relative counters and the committed shadow value.
-// Serial processing (Process/ApplyUpdate) chains the two, which is
-// bit-identical to the previous fused implementation.
 
 #ifndef FGM_CORE_FGM_SITE_H_
 #define FGM_CORE_FGM_SITE_H_
@@ -60,9 +49,8 @@ class FgmSite {
   void SetLambda(double lambda);
 
   /// Maps one local stream record through the query's sketch projection
-  /// (into per-site scratch — safe to call concurrently across sites) and
-  /// applies the resulting deltas; returns the counter increment to
-  /// report (0 = stay silent). Timers may be null.
+  /// (into per-site scratch) and applies the resulting deltas; returns the
+  /// counter increment to report (0 = stay silent). Timers may be null.
   int64_t Process(const ContinuousQuery& query, const StreamRecord& record,
                   WallTimer* sketch_timer, WallTimer* safe_fn_timer);
 
@@ -76,36 +64,10 @@ class FgmSite {
   /// representation for the current flush interval.
   int64_t ApplyUpdate(const std::vector<CellUpdate>& deltas);
 
-  // -- Value-series speculation (parallel engine) ---------------------------
-
-  /// Evaluator half of `n` Process() calls, batched: maps the records
-  /// base[positions[j]] through the query (batched projection), logs them,
-  /// applies the deltas and writes the post-update value sequence into
-  /// `values[0..n)`. Does NOT run the counter rule — feed the values to
-  /// CommitValue() in order (possibly interleaved with other sites under a
-  /// global order) to reproduce serial behavior bit-exactly.
-  void SpeculateBatch(const ContinuousQuery& query, const StreamRecord* base,
-                      const int64_t* positions, int64_t n, double* values,
-                      WallTimer* sketch_timer, WallTimer* safe_fn_timer);
-
-  /// Commit half: runs the counter rule on one post-update value and
-  /// advances the committed shadow value and the subround value range.
-  /// Returns the counter increment to report (0 = stay silent).
-  int64_t CommitValue(double v);
-
-  /// Re-applies one record after RestoreCheckpoint(): map + log + deltas
-  /// + update counters, skipping the value computation (the commit side
-  /// already consumed this record's value). Leaves the evaluator
-  /// bit-identical to a serial Process() of the same record.
-  void ReplayUpdate(const ContinuousQuery& query, const StreamRecord& record);
-
-  /// Last committed value — what the coordinator may read mid-speculation
-  /// in place of CurrentValue() (the evaluator may have run ahead).
-  double committed_value() const { return committed_v_; }
-
-  /// Declares the evaluator state committed (e.g. fast-merge mode, where
-  /// speculated records are committed wholesale without a value walk).
-  void SyncCommittedToLive() { committed_v_ = CurrentValue(); }
+  /// λφ(X_i/λ) as of the last update, round start, rescale or flush — a
+  /// cache of CurrentValue() for the coordinator's per-subround reads,
+  /// which would otherwise re-evaluate the safe function k times a poll.
+  double last_value() const { return last_value_; }
 
   /// The value the site currently reports: λφ(X_i/λ).
   double CurrentValue() const { return evaluator_->ValueAtScale(lambda_); }
@@ -130,40 +92,20 @@ class FgmSite {
   int64_t updates_in_round() const { return updates_in_round_; }
   int64_t counter() const { return counter_; }
 
-  /// Snapshots the speculative (evaluator-side) state — evaluator, log
-  /// position, update counters — so a later RestoreCheckpoint rewinds the
-  /// site bit-exactly. The commit-side scalars (z_/λ/θ, counter, value
-  /// range, committed value) only move at coordinator commits and are
-  /// deliberately not saved: the commit walk advances them past the
-  /// checkpoint, and restoring them would clobber committed state. At
-  /// most one restore per save; a new save discards the old snapshot.
-  void SaveCheckpoint();
-  void RestoreCheckpoint();
-
  private:
-  struct Checkpoint {
-    std::unique_ptr<DriftEvaluator> evaluator;
-    RawUpdateLog::Mark mark;
-    int64_t updates_since_flush = 0;
-    int64_t updates_in_round = 0;
-    bool valid = false;
-  };
-
-  /// Applies deltas + update counters, returns the post-update value.
-  double ApplyDeltasValue(const CellUpdate* deltas, size_t n);
+  /// Applies deltas + update counters, then runs the counter rule on the
+  /// post-update value; returns the counter increment to report.
+  int64_t ApplyDeltas(const std::vector<CellUpdate>& deltas);
 
   int id_;
   size_t dim_;
   RawUpdateLog log_;
   std::unique_ptr<DriftEvaluator> evaluator_;
   std::vector<CellUpdate> deltas_;  // per-site scratch for Process()
-  std::vector<CellUpdate> batch_deltas_;  // scratch for SpeculateBatch()
-  std::vector<size_t> batch_ends_;        // scratch for SpeculateBatch()
-  Checkpoint checkpoint_;
   double lambda_ = 1.0;
   double quantum_ = 1.0;
   double z_ = 0.0;
-  double committed_v_ = 0.0;  ///< shadow of CurrentValue() at last commit
+  double last_value_ = 0.0;  ///< see last_value()
   double value_min_ = 0.0;
   double value_max_ = 0.0;
   int64_t counter_ = 0;

@@ -8,7 +8,6 @@
 
 #include "baseline/central.h"
 #include "core/fgm_config.h"
-#include "exec/parallel_runner.h"
 #include "query/quantile.h"
 #include "query/variance.h"
 #include "core/fgm_protocol.h"
@@ -215,10 +214,6 @@ void WriteMetricsFile(const std::string& path, const RunConfig& config,
   w.Field("final_estimate", result.final_estimate);
   w.Field("final_truth", result.final_truth);
   w.Field("wall_seconds", result.wall_seconds);
-  w.Field("threads", static_cast<int64_t>(result.threads_used));
-  w.Field("parallel_windows", result.parallel_windows);
-  w.Field("parallel_barriers", result.parallel_barriers);
-  w.Field("replayed_records", result.replayed_records);
   if (!result.topology.empty()) w.Field("topology", result.topology);
   w.EndObject();
   if (!result.tier_traffic.empty()) {
@@ -391,9 +386,7 @@ RunResult Run(const RunConfig& base_config,
   };
 
   // Interval snapshots and the stderr heartbeat. Both run at their own
-  // cadence outside the protocol's record path; in parallel mode the
-  // chunking below aligns to the snapshot boundary so the series is
-  // bit-identical for every thread count.
+  // cadence outside the protocol's record path.
   FgmProtocol* fgm_proto = dynamic_cast<FgmProtocol*>(protocol.get());
   HierFgmProtocol* hier_proto = dynamic_cast<HierFgmProtocol*>(protocol.get());
   const int64_t snap_every = config.snapshot_every;
@@ -468,8 +461,8 @@ RunResult Run(const RunConfig& base_config,
     }
   };
 
-  // Cooperative stop (signal or die_at): the loops below exit at the next
-  // record/chunk boundary and fall through to the normal end-of-run write
+  // Cooperative stop (signal or die_at): the loop below exits at the next
+  // record boundary and falls through to the normal end-of-run write
   // path, so a killed run still emits its partial telemetry.
   const int64_t die_at = config.die_at;
   auto should_stop = [&]() {
@@ -498,93 +491,14 @@ RunResult Run(const RunConfig& base_config,
     }
   };
 
-  ShardedProtocol* sharded =
-      config.threads > 1 ? dynamic_cast<ShardedProtocol*>(protocol.get())
-                         : nullptr;
-  if (sharded != nullptr && !sharded->SupportsSpeculation()) {
-    // Simulated-network runs advance a global event clock per record;
-    // speculative replay would deliver messages twice. Fall back to the
-    // serial reference loop.
-    std::fprintf(stderr,
-                 "[fgm] %s does not support speculation here "
-                 "(simulated network); running serial\n",
-                 result.protocol_name.c_str());
-    sharded = nullptr;
-  }
-  if (sharded != nullptr) {
-    ParallelRunnerOptions opts;
-    opts.threads = config.threads;
-    opts.fast_merge = config.fast_merge;
-    opts.metrics = config.metrics;
-    opts.spans = config.spans;
-    ParallelRunner par(sharded, opts);
-    std::vector<StreamRecord> chunk;
-    // Matches ParallelRunnerOptions::max_horizon, so the adaptive horizon
-    // can actually reach its ceiling in quiet phases.
-    constexpr int64_t kChunkCap = 65536;
-    bool exhausted = false;
-    while (!exhausted) {
-      chunk.clear();
-      // Chunks never straddle a verification or snapshot boundary, so
-      // every check and interval sample observes the protocol exactly
-      // where the serial loop would.
-      int64_t limit = kChunkCap;
-      if (verify) {
-        limit = std::min(limit,
-                         config.check_every - (n % config.check_every));
-      }
-      if (sample) {
-        limit = std::min(limit, snap_every - (n % snap_every));
-      }
-      if (live) {
-        limit = std::min(limit, live_every - (n % live_every));
-      }
-      if (die_at > 0) {
-        limit = std::min(limit, die_at - n);
-      }
-      if (limit <= 0) break;
-      while (static_cast<int64_t>(chunk.size()) < limit) {
-        const StreamRecord* rec = next_event();
-        if (rec == nullptr) {
-          exhausted = true;
-          break;
-        }
-        chunk.push_back(*rec);
-      }
-      if (chunk.empty()) break;
-      const int64_t chunk_start = n;
-      par.Process(chunk.data(), static_cast<int64_t>(chunk.size()));
-      for (const StreamRecord& rec : chunk) {
-        ++n;
-        if (verify) verify_record(rec);
-      }
-      if (sample && n % snap_every == 0) interval_snapshot(n);
-      if (live && n % live_every == 0) {
-        health->ObserveSpeculation(n, par.wasted_records());
-        live_emit(n);
-      }
-      if (progress > 0 && n / progress != chunk_start / progress) {
-        progress_emit(n);
-      }
-      if (should_stop()) break;
-    }
-    par.PublishThreadStats();
-    result.threads_used = par.threads();
-    result.parallel_windows = par.windows();
-    result.parallel_barriers = par.barriers();
-    result.replayed_records = par.replayed_records();
-    result.wasted_records = par.wasted_records();
-    result.soft_commits = par.soft_commits();
-  } else {
-    while (const StreamRecord* rec = next_event()) {
-      protocol->ProcessRecord(*rec);
-      ++n;
-      if (verify) verify_record(*rec);
-      if (sample && n % snap_every == 0) interval_snapshot(n);
-      if (live && n % live_every == 0) live_emit(n);
-      if (progress > 0 && n % progress == 0) progress_emit(n);
-      if (should_stop()) break;
-    }
+  while (const StreamRecord* rec = next_event()) {
+    protocol->ProcessRecord(*rec);
+    ++n;
+    if (verify) verify_record(*rec);
+    if (sample && n % snap_every == 0) interval_snapshot(n);
+    if (live && n % live_every == 0) live_emit(n);
+    if (progress > 0 && n % progress == 0) progress_emit(n);
+    if (should_stop()) break;
   }
   result.stopped_early = should_stop();
 

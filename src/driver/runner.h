@@ -83,16 +83,10 @@ struct RunConfig {
   /// many events (0 = never). Verification is O(D) per check.
   int64_t check_every = 0;
 
-  /// Worker threads for the sharded execution engine (exec/). 1 = the
-  /// serial reference loop. Results are bit-identical for every thread
-  /// count; CENTRAL has no sharded implementation and always runs serial.
-  int threads = 1;
-
-  /// Relaxed parallel merge (exec/parallel_runner.h): trades bit-identity
-  /// for commit throughput. Traffic statistics stay deterministic for a
-  /// fixed stream but may differ from the serial run — verify with
-  /// fgm_report. Only meaningful with threads > 1.
-  bool fast_merge = false;
+  /// Every run is serial: one thread drives all sites and the
+  /// coordinator. Kept as a constant only because the benchmark's traced
+  /// loop (perfbench/traced.cc) still reads it to reject threaded runs.
+  static constexpr int threads = 1;
 
   /// Route every protocol message through the serializing transport, which
   /// encodes, size-checks, decodes and verifies each one (strict wire
@@ -101,8 +95,7 @@ struct RunConfig {
 
   /// Simulated-network parameters (src/sim). When enabled() the protocol
   /// runs over the discrete-event network (which always serializes, so
-  /// strict wire accounting is implied), speculation is disabled and the
-  /// run falls back to the serial loop. Fault plans require an FGM
+  /// strict wire accounting is implied). Fault plans require an FGM
   /// protocol (GM/CENTRAL have no crash handshake and reject them).
   sim::NetSimConfig net;
 
@@ -123,9 +116,7 @@ struct RunConfig {
   std::string timeseries_out;
 
   /// Take an extra "interval" snapshot every this many records (0 = round
-  /// boundaries only). In parallel mode chunks are aligned to this
-  /// boundary, so samples land at identical record counts for every
-  /// thread count and the series stays bit-identical.
+  /// boundaries only).
   int64_t snapshot_every = 0;
 
   /// Ring-buffer capacity of the time series (oldest samples drop).
@@ -137,8 +128,7 @@ struct RunConfig {
 
   /// Write causal spans (obs/span.h) here as Chrome Trace Event JSON,
   /// loadable in Perfetto (empty = off). A private SpanSink is created
-  /// when `spans` is null. FGM protocols emit round/subround/RPC spans;
-  /// the parallel engine adds per-window shard spans.
+  /// when `spans` is null. FGM protocols emit round/subround/RPC spans.
   std::string spans_out;
 
   /// Ship the innermost open span's id as one extra charged word on every
@@ -157,9 +147,7 @@ struct RunConfig {
   /// end. Enables the health monitor.
   std::string live_out;
 
-  /// Cadence of the live exports above, in records. In parallel mode
-  /// chunks align to this boundary so heartbeats land at identical record
-  /// counts for every thread count.
+  /// Cadence of the live exports above, in records.
   int64_t live_every = 20000;
 
   /// Health-aware FGM/O plan selection (FgmConfig::health_planning):
@@ -210,14 +198,6 @@ struct RunResult {
   /// Rounds force-ended at the subround cap instead of aborting.
   int64_t overflow_rounds = 0;
   double mean_full_function_fraction = 0.0;
-
-  // Parallel-runner diagnostics (zero on the serial path).
-  int threads_used = 1;
-  int64_t parallel_windows = 0;
-  int64_t parallel_barriers = 0;
-  int64_t replayed_records = 0;
-  int64_t wasted_records = 0;
-  int64_t soft_commits = 0;
 
   // Simulated-network diagnostics (all zero on synchronous transports).
   bool net_enabled = false;

@@ -3,7 +3,7 @@
 //   ./build/src/driver/runner --protocol=fgm --query=selfjoin
 //       [--sites=27] [--updates=400000] [--eps=0.1] [--window=14400]
 //       [--count_window=0] [--depth=5] [--width=300] [--check_every=5000]
-//       [--threads=1] [--trace_out=trace.jsonl]
+//       [--trace_out=trace.jsonl]
 //       [--metrics_out=metrics.json] [--timeseries_out=ts.json]
 //       [--spans_out=spans.json] [--span_wire]
 //       [--snapshot_every=0] [--timeseries_cap=4096] [--progress=0]
@@ -19,19 +19,13 @@
 // byte-identically to the default. Deep trees need an FGM-family
 // protocol; fault-plan site indices then address tier-1 aggregators.
 //
-// --threads > 1 runs the sharded parallel engine (exec/); traffic,
-// traces, results and time series are bit-identical to --threads=1.
-// --fast_merge opts into the relaxed merge (no checkpoints/replay):
-// deterministic for a fixed stream, but traffic statistics may differ
-// slightly from serial — cross-check with tools/fgm_report.
-//
 // --net_latency / --net_drop / --fault_plan run the protocol over the
 // discrete-event network simulator (src/sim): per-link latency
 // ("0", "fixed:T", "uniform:A-B", "exp:M"), iid message loss,
 // scheduled crash/outage windows ("crash:site=S,at=T[,rejoin=T2]" /
 // "outage:site=S,from=A,to=B", ';'-separated). --net_latency=0 is the
 // simulator's null mode, bit-identical to the synchronous path. Fault
-// plans require an FGM protocol. Simulated runs force --threads=1.
+// plans require an FGM protocol.
 //
 // --spans_out writes causal spans (obs/span.h) as Chrome Trace Event
 // JSON loadable in Perfetto; --span_wire additionally charges (and, on
@@ -110,8 +104,6 @@ int main(int argc, char** argv) {
       flags.GetCount("width", config.query == fgm::QueryKind::kJoin ? 150
                                                                     : 300));
   config.check_every = flags.GetCount("check_every", 5000);
-  config.threads = static_cast<int>(flags.GetCount("threads", 1));
-  config.fast_merge = flags.GetBool("fast_merge", false);
   config.trace_out = flags.GetString("trace_out", "");
   config.metrics_out = flags.GetString("metrics_out", "");
   config.timeseries_out = flags.GetString("timeseries_out", "");
@@ -144,8 +136,7 @@ int main(int argc, char** argv) {
           "runner --protocol=central|gm|fgm-basic|fgm|fgm-o "
           "--query=selfjoin|join|fp|variance|quantile [--sites=N] "
           "[--updates=N] [--eps=E] [--window=S] [--count_window=N] "
-          "[--depth=N] [--width=N] [--check_every=N] [--threads=N] "
-          "[--fast_merge] "
+          "[--depth=N] [--width=N] [--check_every=N] "
           "[--trace_out=F] [--metrics_out=F] [--timeseries_out=F] "
           "[--spans_out=F] [--span_wire] "
           "[--snapshot_every=N] [--timeseries_cap=N] [--progress=N] "
@@ -196,16 +187,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(r.events), static_cast<long long>(r.rounds),
       static_cast<long long>(r.traffic.total_words()), r.comm_cost,
       100.0 * r.upstream_fraction, r.max_violation);
-  if (r.threads_used > 1) {
-    std::printf("parallel: threads=%d windows=%lld barriers=%lld "
-                "replayed=%lld wasted=%lld soft=%lld%s\n",
-                r.threads_used, static_cast<long long>(r.parallel_windows),
-                static_cast<long long>(r.parallel_barriers),
-                static_cast<long long>(r.replayed_records),
-                static_cast<long long>(r.wasted_records),
-                static_cast<long long>(r.soft_commits),
-                config.fast_merge ? " fast_merge" : "");
-  }
   if (r.net_enabled) {
     std::printf(
         "net: delivered=%lld dropped=%lld retransmitted=%lld stale=%lld "

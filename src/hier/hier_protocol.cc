@@ -140,7 +140,7 @@ void HierFgmProtocol::ProcessRecord(const StreamRecord& record) {
 
 double HierFgmProtocol::ChildValue(int tier, int node) {
   if (tier == depth_) {
-    return sites_[static_cast<size_t>(node)].committed_value();
+    return sites_[static_cast<size_t>(node)].last_value();
   }
   AggNode& a = Agg(tier, node);
   a.last_reported = VHat(a);

@@ -29,8 +29,7 @@
 // Scope: depth ≥ 2 trees of the FGM family (FGM, FGM-basic, FGM/O).
 // tree:f with f ≥ k is depth 1 — the runner constructs the flat
 // protocol for it, byte-identical by construction. Rebalancing and the
-// FGM/O plan operate at root granularity (per tier-1 subtree); serial
-// execution only (no sharded speculation).
+// FGM/O plan operate at root granularity (per tier-1 subtree).
 //
 // Faults (sim::EventNetwork on the ROOT tier's links): the fault plan
 // targets tier-1 aggregators. A subtree whose up-link is down keeps its
@@ -163,7 +162,7 @@ class HierFgmProtocol : public MonitoringProtocol {
   void CascadeSubround(int tier, int node, double theta_up, bool analytic);
   void CascadeLambda(int tier, int node, double lambda);
   /// The value child `node` at `tier` reports to a φ-value poll: a leaf's
-  /// committed λφ(x), an aggregator's v̂.
+  /// last computed λφ(x), an aggregator's v̂.
   double ChildValue(int tier, int node);
   /// Re-baselines child `node` at `tier` after its parent's mini-poll:
   /// leaves re-anchor (BeginSubround), aggregators reset their export

@@ -53,7 +53,6 @@ HealthMonitor::HealthMonitor(int sites, const HealthConfig& config)
   for (Ewma& e : kind_words_) e.set_alpha(a);
   psi_overshoot_.set_alpha(a);
   overflow_rate_.set_alpha(a);
-  speculation_waste_.set_alpha(a);
 }
 
 void HealthMonitor::ObserveRound(const RunSnapshot& snapshot) {
@@ -125,18 +124,6 @@ void HealthMonitor::ObservePsiMargin(double last_psi, double stop_level) {
 void HealthMonitor::ObserveOverflowRounds(int64_t cumulative) {
   overflow_rate_.Observe(cumulative > last_overflow_rounds_ ? 1.0 : 0.0);
   last_overflow_rounds_ = cumulative;
-}
-
-void HealthMonitor::ObserveSpeculation(int64_t committed_updates,
-                                       int64_t wasted_updates) {
-  const int64_t dc = committed_updates - last_spec_committed_;
-  const int64_t dw = wasted_updates - last_spec_wasted_;
-  if (dc + dw > 0) {
-    speculation_waste_.Observe(static_cast<double>(dw) /
-                               static_cast<double>(dc + dw));
-  }
-  last_spec_committed_ = committed_updates;
-  last_spec_wasted_ = wasted_updates;
 }
 
 void HealthMonitor::ObserveProgress(int64_t records, int64_t round,
@@ -367,8 +354,6 @@ std::string HealthMonitor::PrometheusText(int64_t records, int64_t rounds,
   Line(&out, "fgm_psi_overshoot %.17g", psi_overshoot_.value());
   Line(&out, "# TYPE fgm_overflow_rate gauge");
   Line(&out, "fgm_overflow_rate %.17g", overflow_rate_.value());
-  Line(&out, "# TYPE fgm_speculation_waste gauge");
-  Line(&out, "fgm_speculation_waste %.17g", speculation_waste_.value());
 
   Line(&out, "# TYPE fgm_site_rate_alpha gauge");
   for (int i = 0; i < sites_; ++i) {
@@ -439,7 +424,6 @@ std::string HealthMonitor::HeartbeatJson(int64_t records, int64_t rounds,
   w.Field("round_words", round_words_.value());
   w.Field("psi_overshoot", psi_overshoot_.value());
   w.Field("overflow_rate", overflow_rate_.value());
-  w.Field("speculation_waste", speculation_waste_.value());
   w.Field("alerts_active", active_alert_count());
   w.Field("alerts_raised", alerts_raised_);
   w.Field("alerts_cleared", alerts_cleared_);

@@ -22,11 +22,10 @@
 
 namespace fgm {
 
-// Counters, gauges and timers are updated from worker threads when the
-// parallel runner is active, so their mutators are lock-free atomics
-// (relaxed: instruments are statistical accumulators, not synchronization
-// points). The registry itself is mutex-guarded — Get* runs at
-// construction time and WriteJson after the run, never on the hot path.
+// Counter, gauge and timer mutators are lock-free atomics (relaxed:
+// instruments are statistical accumulators, not synchronization points).
+// The registry itself is mutex-guarded — Get* runs at construction time
+// and WriteJson after the run, never on the hot path.
 
 /// Monotone event count.
 class Counter {

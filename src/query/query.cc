@@ -36,31 +36,6 @@ void SelfJoinQuery::MapRecord(const StreamRecord& record,
   projection_->Map(record.cid, record.weight, out);
 }
 
-void SelfJoinQuery::MapRecordBatch(const StreamRecord* base,
-                                   const int64_t* positions, int64_t n,
-                                   std::vector<CellUpdate>* out,
-                                   std::vector<size_t>* ends) const {
-  const size_t depth = static_cast<size_t>(projection_->depth());
-  constexpr int64_t kBlock = 128;
-  uint64_t keys[kBlock];
-  double weights[kBlock];
-  for (int64_t start = 0; start < n; start += kBlock) {
-    const int64_t m = std::min(kBlock, n - start);
-    for (int64_t j = 0; j < m; ++j) {
-      const StreamRecord& record = base[positions[start + j]];
-      keys[j] = record.cid;
-      weights[j] = record.weight;
-    }
-    const size_t before = out->size();
-    out->resize(before + static_cast<size_t>(m) * depth);
-    projection_->MapBatch(keys, weights, static_cast<size_t>(m),
-                          out->data() + before);
-    for (int64_t j = 0; j < m; ++j) {
-      ends->push_back(before + static_cast<size_t>(j + 1) * depth);
-    }
-  }
-}
-
 double SelfJoinQuery::Evaluate(const RealVector& state) const {
   return SelfJoinEstimate(*projection_, state);
 }
@@ -98,38 +73,6 @@ void JoinQuery::MapRecord(const StreamRecord& record,
     const size_t offset = projection_->dimension();
     for (size_t j = before; j < out->size(); ++j) {
       (*out)[j].index += offset;
-    }
-  }
-}
-
-void JoinQuery::MapRecordBatch(const StreamRecord* base,
-                               const int64_t* positions, int64_t n,
-                               std::vector<CellUpdate>* out,
-                               std::vector<size_t>* ends) const {
-  const size_t depth = static_cast<size_t>(projection_->depth());
-  const size_t offset = projection_->dimension();
-  constexpr int64_t kBlock = 128;
-  uint64_t keys[kBlock];
-  double weights[kBlock];
-  for (int64_t start = 0; start < n; start += kBlock) {
-    const int64_t m = std::min(kBlock, n - start);
-    for (int64_t j = 0; j < m; ++j) {
-      const StreamRecord& record = base[positions[start + j]];
-      keys[j] = record.cid;
-      weights[j] = record.weight;
-    }
-    const size_t before = out->size();
-    out->resize(before + static_cast<size_t>(m) * depth);
-    projection_->MapBatch(keys, weights, static_cast<size_t>(m),
-                          out->data() + before);
-    for (int64_t j = 0; j < m; ++j) {
-      const StreamRecord& record = base[positions[start + j]];
-      if (record.type != FileType::kHtml) {
-        // Non-HTML records land in the second sketch, as in MapRecord.
-        CellUpdate* slice = out->data() + before + static_cast<size_t>(j) * depth;
-        for (size_t d = 0; d < depth; ++d) slice[d].index += offset;
-      }
-      ends->push_back(before + static_cast<size_t>(j + 1) * depth);
     }
   }
 }

@@ -48,24 +48,6 @@ class ContinuousQuery {
   virtual void MapRecord(const StreamRecord& record,
                          std::vector<CellUpdate>* out) const = 0;
 
-  /// Batched MapRecord over `n` records gathered as base[positions[j]],
-  /// j in [0, n): appends every record's deltas to `out` in record order
-  /// and pushes the post-record out->size() onto `ends` (so record j's
-  /// deltas are [j == 0 ? start : ends[j-1], ends[j])). The deltas are
-  /// bit-identical to n sequential MapRecord calls; projection-backed
-  /// queries override this with a row-major batch that amortizes the
-  /// hash-family work (the FastAgms::UpdateBatch idiom). Thread-safe:
-  /// touches only caller-provided buffers.
-  virtual void MapRecordBatch(const StreamRecord* base,
-                              const int64_t* positions, int64_t n,
-                              std::vector<CellUpdate>* out,
-                              std::vector<size_t>* ends) const {
-    for (int64_t j = 0; j < n; ++j) {
-      MapRecord(base[positions[j]], out);
-      ends->push_back(out->size());
-    }
-  }
-
   /// Exact query value on a state vector.
   virtual double Evaluate(const RealVector& state) const = 0;
 
@@ -92,9 +74,6 @@ class SelfJoinQuery : public ContinuousQuery {
   size_t dimension() const override { return projection_->dimension(); }
   void MapRecord(const StreamRecord& record,
                  std::vector<CellUpdate>* out) const override;
-  void MapRecordBatch(const StreamRecord* base, const int64_t* positions,
-                      int64_t n, std::vector<CellUpdate>* out,
-                      std::vector<size_t>* ends) const override;
   double Evaluate(const RealVector& state) const override;
   ThresholdPair Thresholds(const RealVector& estimate) const override;
   std::unique_ptr<SafeFunction> MakeSafeFunction(
@@ -120,9 +99,6 @@ class JoinQuery : public ContinuousQuery {
   size_t dimension() const override { return 2 * projection_->dimension(); }
   void MapRecord(const StreamRecord& record,
                  std::vector<CellUpdate>* out) const override;
-  void MapRecordBatch(const StreamRecord* base, const int64_t* positions,
-                      int64_t n, std::vector<CellUpdate>* out,
-                      std::vector<size_t>* ends) const override;
   double Evaluate(const RealVector& state) const override;
   ThresholdPair Thresholds(const RealVector& estimate) const override;
   std::unique_ptr<SafeFunction> MakeSafeFunction(

@@ -69,10 +69,6 @@ class HeavyHitterEvaluator : public VectorDriftEvaluator {
     }
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<HeavyHitterEvaluator>(*this);
-  }
-
  private:
   struct Entry {
     double value;

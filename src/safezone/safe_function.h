@@ -53,12 +53,6 @@ class DriftEvaluator {
 
   /// The current drift vector.
   virtual const RealVector& drift() const = 0;
-
-  /// Deep copy of the complete evaluator state (drift plus every derived
-  /// incremental quantity), preserving the exact floating-point bits. The
-  /// parallel execution engine checkpoints sites with Clone() and replays
-  /// from the copy, which is what makes speculative execution bit-exact.
-  virtual std::unique_ptr<DriftEvaluator> Clone() const = 0;
 };
 
 /// Immutable description of a safe function for a fixed admissible region
@@ -108,9 +102,6 @@ class NaiveDriftEvaluator : public VectorDriftEvaluator {
   double Value() const override { return fn_->Eval(x_); }
   double ValueAtScale(double lambda) const override;
   void Reset() override { x_.SetZero(); }
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<NaiveDriftEvaluator>(*this);
-  }
 
  private:
   const SafeFunction* fn_;  // not owned
@@ -134,7 +125,6 @@ class ParanoidDriftEvaluator : public DriftEvaluator {
   }
   void Reset() override;
   const RealVector& drift() const override { return inner_->drift(); }
-  std::unique_ptr<DriftEvaluator> Clone() const override;
 
  private:
   void CrossCheck() const;

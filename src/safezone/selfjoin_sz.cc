@@ -53,10 +53,6 @@ class SelfJoinEvaluator : public VectorDriftEvaluator {
     std::fill(dxe_.begin(), dxe_.end(), 0.0);
   }
 
-  std::unique_ptr<DriftEvaluator> Clone() const override {
-    return std::make_unique<SelfJoinEvaluator>(*this);
-  }
-
  private:
   const SelfJoinSafeFunction* fn_;
   int depth_;

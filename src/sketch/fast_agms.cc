@@ -22,27 +22,10 @@ AgmsProjection::AgmsProjection(int depth, int width, uint64_t seed)
 
 void AgmsProjection::Map(uint64_t key, double weight,
                          std::vector<CellUpdate>* out) const {
-  out->reserve(out->size() + static_cast<size_t>(depth_));
   for (int r = 0; r < depth_; ++r) {
     const uint32_t b = Bucket(r, key);
     const int s = Sign(r, key);
     out->push_back(CellUpdate{CellIndex(r, b), s * weight});
-  }
-}
-
-void AgmsProjection::MapBatch(const uint64_t* keys, const double* weights,
-                              size_t count, CellUpdate* out) const {
-  for (int r = 0; r < depth_; ++r) {
-    // Row-major keeps one row's hash family hot across the whole batch
-    // (the FastAgms::UpdateBatch idiom); the record-major store keeps the
-    // per-record delta slices contiguous for the consumer.
-    const BucketHash& bucket = bucket_[static_cast<size_t>(r)];
-    const SignHash& sign = sign_[static_cast<size_t>(r)];
-    for (size_t j = 0; j < count; ++j) {
-      out[j * static_cast<size_t>(depth_) + static_cast<size_t>(r)] =
-          CellUpdate{CellIndex(r, bucket(keys[j])),
-                     sign(keys[j]) * weights[j]};
-    }
   }
 }
 

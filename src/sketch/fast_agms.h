@@ -60,15 +60,6 @@ class AgmsProjection {
   /// (does not clear `out`).
   void Map(uint64_t key, double weight, std::vector<CellUpdate>* out) const;
 
-  /// Batched Map: projects `count` updates in one row-major pass (all
-  /// records through row 0's hash family, then row 1, ...) while writing
-  /// record-major — out[j * depth + d] is record j's row-d cell, exactly
-  /// the CellUpdate values Map() emits in the same per-record order, so
-  /// consuming the output record by record is bit-identical to per-record
-  /// Map() calls. `out` must hold count * depth entries.
-  void MapBatch(const uint64_t* keys, const double* weights, size_t count,
-                CellUpdate* out) const;
-
  private:
   int depth_;
   int width_;

@@ -10,7 +10,9 @@
 //  * nonexpansiveness on random pairs.
 
 #include <cmath>
+#include <cstdlib>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -260,6 +262,61 @@ TEST(NaiveDriftEvaluator, MatchesReference) {
     x[idx] += delta;
     ASSERT_DOUBLE_EQ(eval.Value(), ball.Eval(x));
   }
+}
+
+// ---------------------------------------------------------------------
+// Incremental evaluation cross-check (FGM_PARANOID)
+
+TEST(ParanoidDriftEvaluator, AgreesWithReferenceOnCorrectInner) {
+  RealVector center(8);
+  center[0] = 3.0;
+  BallSafeFunction fn(center, 10.0);
+  ParanoidDriftEvaluator eval(&fn, fn.MakeEvaluator(), /*period=*/1);
+  Xoshiro256ss rng(7);
+  for (int i = 0; i < 200; ++i) {
+    // Every ApplyDelta cross-checks (period 1); divergence would abort.
+    eval.ApplyDelta(rng.NextBounded(8),
+                    static_cast<double>(rng.NextBounded(9)) - 4.0);
+  }
+  EXPECT_NEAR(eval.Value(), fn.Eval(eval.drift()), 1e-9);
+}
+
+// An evaluator whose incremental value is wrong on purpose.
+class BrokenEvaluator : public VectorDriftEvaluator {
+ public:
+  explicit BrokenEvaluator(size_t dim) : VectorDriftEvaluator(dim) {}
+  void ApplyDelta(size_t index, double delta) override {
+    x_[index] += delta;
+  }
+  double Value() const override { return 1e9; }  // nowhere near φ(x)
+  double ValueAtScale(double) const override { return 1e9; }
+  void Reset() override { x_.SetZero(); }
+};
+
+TEST(ParanoidDriftEvaluatorDeathTest, AbortsOnDivergedInner) {
+  RealVector center(4);
+  center[0] = 1.0;
+  BallSafeFunction fn(center, 10.0);
+  ParanoidDriftEvaluator eval(&fn, std::make_unique<BrokenEvaluator>(4),
+                              /*period=*/1);
+  EXPECT_DEATH(eval.ApplyDelta(0, 1.0), "FGM_PARANOID");
+}
+
+TEST(MakeCheckedEvaluator, EnvVariableTogglesTheWrapper) {
+  RealVector center(4);
+  center[0] = 1.0;
+  BallSafeFunction fn(center, 10.0);
+
+  unsetenv("FGM_PARANOID");
+  auto inner = fn.MakeEvaluator();
+  DriftEvaluator* raw = inner.get();
+  auto out = MakeCheckedEvaluator(&fn, std::move(inner));
+  EXPECT_EQ(out.get(), raw);  // unset: pass-through
+
+  setenv("FGM_PARANOID", "8", 1);
+  auto wrapped = MakeCheckedEvaluator(&fn, fn.MakeEvaluator());
+  EXPECT_NE(dynamic_cast<ParanoidDriftEvaluator*>(wrapped.get()), nullptr);
+  unsetenv("FGM_PARANOID");
 }
 
 }  // namespace

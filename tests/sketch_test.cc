@@ -37,6 +37,24 @@ TEST(AgmsProjection, MapTouchesOneCellPerRow) {
   }
 }
 
+TEST(AgmsProjection, MapAppendsIntoOneVectorWithGeometricGrowth) {
+  // Appending must leave growth to the vector: reserving exactly the next
+  // record's cells on every call reallocates once per record.
+  auto proj = MakeProjection(5, 64, 3);
+  std::vector<CellUpdate> out;
+  int capacity_changes = 0;
+  size_t capacity = out.capacity();
+  for (uint64_t key = 0; key < 100000; ++key) {
+    proj->Map(key, 1.0, &out);
+    if (out.capacity() != capacity) {
+      ++capacity_changes;
+      capacity = out.capacity();
+    }
+  }
+  EXPECT_EQ(out.size(), 500000u);
+  EXPECT_LE(capacity_changes, 64);
+}
+
 TEST(AgmsProjection, DeterministicForSeed) {
   auto a = MakeProjection(3, 32, 99);
   auto b = MakeProjection(3, 32, 99);
@@ -153,6 +171,26 @@ TEST(FastAgms, ConcatenatedJoinMatchesPair) {
   }
   EXPECT_DOUBLE_EQ(JoinEstimateConcatenated(*proj, concat),
                    FastAgms::JoinEstimate(a, b));
+}
+
+TEST(FastAgms, UpdateBatchBitIdenticalToSerialUpdates) {
+  auto projection = MakeProjection(5, 64, 0xBEEF);
+  FastAgms serial(projection);
+  FastAgms batched(projection);
+
+  Xoshiro256ss rng(42);
+  std::vector<uint64_t> keys;
+  std::vector<double> weights;
+  for (int i = 0; i < 4096; ++i) {
+    keys.push_back(rng.NextBounded(777));
+    weights.push_back(static_cast<double>(rng.NextBounded(13)) - 6.0);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) serial.Update(keys[i], weights[i]);
+  batched.UpdateBatch(keys.data(), weights.data(), keys.size());
+
+  for (size_t i = 0; i < serial.state().dim(); ++i) {
+    EXPECT_EQ(serial.state()[i], batched.state()[i]) << "cell " << i;
+  }
 }
 
 TEST(FastAgms, SelfJoinOfSingletonIsSquaredWeight) {

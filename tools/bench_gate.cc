@@ -13,9 +13,9 @@
 // Machine-dependent fields — name contains "wall", "second", "speedup",
 // "per_sec", "ns_per" or "host_" (e.g. the host_cores scalar) — are
 // skipped unless --time_tol > 0 is given, in which case they are gated
-// at that (looser) tolerance. Everything else (rounds, words, windows,
-// barriers, replayed records...) is deterministic for a fixed seed and
-// gated at --tol; --tol=0 demands bit-exact equality.
+// at that (looser) tolerance. Everything else (rounds, subrounds,
+// words...) is deterministic for a fixed seed and gated at --tol;
+// --tol=0 demands bit-exact equality.
 //
 // --tol_field=name=T[,name=T...] overrides the tolerance for individual
 // fields by exact name, taking precedence over both --tol and the
@@ -26,10 +26,11 @@
 // --min_field=label.field=V[;label.field=V...] gates the CURRENT report
 // against an absolute floor, independent of the baseline: the run with
 // x-label `label` must exist and its `field` must be >= V. The list is
-// ';'-separated because run labels contain commas
-// (e.g. --min_field="k=8,threads=8.speedup=3.0"). This is how CI
-// enforces parallel speedup on multi-core runners while the committed
-// baseline stays honest about the machine that produced it.
+// ';'-separated because run labels may contain commas
+// (e.g. --min_field="BM_SketchUpdate/7/1000.items_per_second=5e6").
+// This is how CI can demand a throughput floor on its own runners while
+// the committed baseline stays honest about the machine that produced
+// it.
 //
 // --update inverts the gate: instead of diffing, it validates the
 // current report (parseable JSON with a "bench" name) and copies its
@@ -100,8 +101,8 @@ bool ParseFieldTols(const std::string& spec,
 
 /// One absolute-minimum rule from --min_field.
 struct MinRule {
-  std::string label;  ///< run x-label ("k=8,threads=8")
-  std::string field;  ///< numeric field inside the run ("speedup")
+  std::string label;  ///< run x-label ("BM_SketchUpdate/7/1000")
+  std::string field;  ///< numeric field inside the run ("items_per_second")
   double value;       ///< required minimum (inclusive)
 };
 
@@ -340,8 +341,8 @@ int main(int argc, char** argv) {
   }
 
   // Absolute floors on the current report (--min_field): independent of
-  // the baseline, so a CI runner can demand speedup the baseline machine
-  // could not deliver.
+  // the baseline, so a CI runner can demand throughput the baseline
+  // machine could not deliver.
   for (const MinRule& rule : min_rules) {
     ++gate.compared;
     const std::string where = "run[" + rule.label + "]." + rule.field;

@@ -7,8 +7,8 @@
 // Renders the observability triple a runner invocation writes
 // (--trace_out / --metrics_out / --timeseries_out) into a human-readable
 // run report: per-round communication table, site-skew summary, FGM/O
-// optimizer audit (predicted vs actual gain per round), parallel
-// speculation efficiency, and — for runs over the simulated network
+// optimizer audit (predicted vs actual gain per round), and — for runs
+// over the simulated network
 // (src/sim) — delivery/drop/retransmit/resync counters, with a flag on
 // any round whose in-flight backlog exceeded the 3k+1-word subround
 // budget. With --json_out the same report is written as machine-readable
@@ -29,9 +29,9 @@
 // view: the span invariants must hold (every span closed, children inside
 // their parents) and the per-direction msg/datagram span word sums must
 // equal the trace's RunEnd totals. The report then prints a critical-path
-// summary: the run's time split (network / speculate / barrier / replay /
-// commit) and, per subround, which site's RPC or datagram gated progress
-// — aggregated into a top-N straggler table with retransmit counts.
+// summary: the run's time split (rounds / network) and, per subround,
+// which site's RPC or datagram gated progress — aggregated into a top-N
+// straggler table with retransmit counts.
 //
 // Exit: 0 = all checks pass, 1 = a cross-check failed (suppress with
 // --check=false), 2 = usage / file / parse error.
@@ -71,7 +71,10 @@ constexpr int kKinds = static_cast<int>(fgm::MsgKind::kKindCount);
 /// top-level "topology"/"leaves" and the "tiers" array (per-tier
 /// endpoints, mean fan-in, up/down words and messages, drift flushes,
 /// aggregator local polls and the composed-ψ range each tier reported).
-constexpr int64_t kReportSchemaVersion = 4;
+/// v5: dropped what only the removed parallel runner produced: the
+/// v2 "speculation" object and the spans object's speculate_time,
+/// barrier_time, replay_time and commit_time fields.
+constexpr int64_t kReportSchemaVersion = 5;
 
 std::string Format(const char* fmt, ...) {
   char buf[512];
@@ -916,115 +919,6 @@ void PrintAlerts(const TraceSummary& t, int64_t max_rounds) {
   table.Print();
 }
 
-int64_t MetricCounter(const fgm::JsonNode& m, const char* name) {
-  const fgm::JsonNode* counters = m.Find("metrics") != nullptr
-                                      ? m.Find("metrics")->Find("counters")
-                                      : nullptr;
-  const fgm::JsonNode* v =
-      counters != nullptr ? counters->Find(name) : nullptr;
-  return v != nullptr ? v->AsInt() : 0;
-}
-
-double MetricTimerSeconds(const fgm::JsonNode& m, const char* name) {
-  const fgm::JsonNode* timers = m.Find("metrics") != nullptr
-                                    ? m.Find("metrics")->Find("timers")
-                                    : nullptr;
-  const fgm::JsonNode* t = timers != nullptr ? timers->Find(name) : nullptr;
-  const fgm::JsonNode* v = t != nullptr ? t->Find("total_seconds") : nullptr;
-  return v != nullptr ? v->AsDouble() : 0.0;
-}
-
-/// The speculation-efficiency numbers the report derives from the
-/// metrics registry's spec_* counters. All zero (windows == 0) when the
-/// run was serial.
-struct SpeculationSummary {
-  int64_t windows = 0;
-  int64_t barriers = 0;
-  int64_t speculated = 0;
-  int64_t committed = 0;
-  int64_t replayed = 0;
-  int64_t wasted = 0;
-  int64_t soft_commits = 0;
-
-  double barrier_rate() const {
-    return windows > 0
-               ? static_cast<double>(barriers) / static_cast<double>(windows)
-               : 0.0;
-  }
-  /// Discarded speculative work per useful record.
-  double waste_ratio() const {
-    return static_cast<double>(wasted) /
-           std::max<double>(1.0, static_cast<double>(committed));
-  }
-  /// Serial-side replay burden per window.
-  double replayed_per_window() const {
-    return windows > 0
-               ? static_cast<double>(replayed) / static_cast<double>(windows)
-               : 0.0;
-  }
-  double commit_efficiency() const {
-    return static_cast<double>(committed) /
-           std::max<double>(1.0, static_cast<double>(speculated));
-  }
-};
-
-SpeculationSummary ReadSpeculation(const fgm::JsonNode& m) {
-  SpeculationSummary s;
-  s.windows = MetricCounter(m, "spec_windows");
-  s.barriers = MetricCounter(m, "spec_barriers");
-  s.speculated = MetricCounter(m, "spec_records_speculated");
-  s.committed = MetricCounter(m, "spec_records_committed");
-  s.replayed = MetricCounter(m, "spec_records_replayed");
-  s.wasted = MetricCounter(m, "spec_records_wasted");
-  s.soft_commits = MetricCounter(m, "spec_soft_commits");
-  return s;
-}
-
-/// The spec_* counters must balance: every speculated record was either
-/// committed or wasted, and replay only re-derives committed prefixes.
-void CheckSpeculation(const SpeculationSummary& s, Checker* c) {
-  if (s.windows == 0) return;
-  c->ExpectEqInt(s.speculated, s.committed + s.wasted,
-                 "speculation: speculated vs committed + wasted");
-  c->Expect(s.replayed <= s.committed,
-            "speculation: replayed exceeds committed records");
-  c->Expect(s.barriers <= s.windows,
-            "speculation: more barriers than windows");
-}
-
-void PrintSpeculation(const fgm::JsonNode& m, const SpeculationSummary& s) {
-  if (s.windows == 0) return;
-  fgm::PrintBanner("Speculation efficiency (parallel runner)");
-  std::printf(
-      "windows=%lld  barriers=%lld (barrier rate %.3f per window)  "
-      "soft_commits=%lld\n"
-      "records: speculated=%lld committed=%lld replayed=%lld wasted=%lld\n"
-      "efficiency: committed/speculated=%.4f  wasted/committed=%.4f  "
-      "replayed/window=%.1f\n"
-      "time: speculate=%.3fs commit=%.3fs\n",
-      static_cast<long long>(s.windows), static_cast<long long>(s.barriers),
-      s.barrier_rate(), static_cast<long long>(s.soft_commits),
-      static_cast<long long>(s.speculated),
-      static_cast<long long>(s.committed),
-      static_cast<long long>(s.replayed), static_cast<long long>(s.wasted),
-      s.commit_efficiency(), s.waste_ratio(), s.replayed_per_window(),
-      MetricTimerSeconds(m, "spec_speculate"),
-      MetricTimerSeconds(m, "spec_commit"));
-  const fgm::JsonNode* gauges = m.Find("metrics") != nullptr
-                                    ? m.Find("metrics")->Find("gauges")
-                                    : nullptr;
-  if (gauges != nullptr) {
-    std::string tasks;
-    for (const auto& [name, value] : gauges->members) {
-      if (name.rfind("spec_thread", 0) != 0) continue;
-      if (!tasks.empty()) tasks += " ";
-      tasks += Format("%s=%lld", name.c_str() + std::strlen("spec_"),
-                      static_cast<long long>(value.AsInt()));
-    }
-    if (!tasks.empty()) std::printf("per-thread tasks: %s\n", tasks.c_str());
-  }
-}
-
 /// Run-level time split + straggler attribution, computed from the span
 /// file alone (SummarizeCriticalPath).
 void PrintCriticalPath(const fgm::SpanCheckStats& stats,
@@ -1040,16 +934,6 @@ void PrintCriticalPath(const fgm::SpanCheckStats& stats,
   std::printf("network=%lld (%.1f%%)  retransmits=%lld\n",
               static_cast<long long>(cp.network_time), pct(cp.network_time),
               static_cast<long long>(cp.retransmits));
-  if (cp.speculate_time + cp.barrier_time + cp.replay_time + cp.commit_time >
-      0) {
-    std::printf(
-        "parallel: speculate=%lld (%.1f%%)  barrier-wait=%lld (%.1f%%)  "
-        "replay=%lld (%.1f%%)  commit=%lld (%.1f%%)\n",
-        static_cast<long long>(cp.speculate_time), pct(cp.speculate_time),
-        static_cast<long long>(cp.barrier_time), pct(cp.barrier_time),
-        static_cast<long long>(cp.replay_time), pct(cp.replay_time),
-        static_cast<long long>(cp.commit_time), pct(cp.commit_time));
-  }
   if (!cp.top_sites.empty()) {
     std::printf("gated subrounds: %zu\n", cp.gates.size());
     fgm::TablePrinter table({"site", "gated", "wait", "retransmits"});
@@ -1073,8 +957,7 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
                      const TraceSummary& t, const fgm::ReplayReport& replay,
                      const Checker& checks,
                      const fgm::SpanCheckStats* span_stats,
-                     const fgm::CriticalPathSummary* cp,
-                     const SpeculationSummary* spec) {
+                     const fgm::CriticalPathSummary* cp) {
   fgm::JsonWriter w;
   w.BeginObject();
   w.Field("version", kReportSchemaVersion);
@@ -1172,10 +1055,6 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
     w.Field("round_time", cp->round_time);
     w.Field("network_time", cp->network_time);
     w.Field("retransmits", cp->retransmits);
-    w.Field("speculate_time", cp->speculate_time);
-    w.Field("barrier_time", cp->barrier_time);
-    w.Field("replay_time", cp->replay_time);
-    w.Field("commit_time", cp->commit_time);
     w.Field("gated_subrounds", static_cast<int64_t>(cp->gates.size()));
     w.Key("top_sites");
     w.BeginArray();
@@ -1210,22 +1089,6 @@ void WriteJsonReport(const std::string& path, const std::string& trace_path,
       w.EndObject();
     }
     w.EndArray();
-    w.EndObject();
-  }
-  if (spec != nullptr && spec->windows > 0) {
-    w.Key("speculation");
-    w.BeginObject();
-    w.Field("windows", spec->windows);
-    w.Field("barriers", spec->barriers);
-    w.Field("barrier_rate", spec->barrier_rate());
-    w.Field("soft_commits", spec->soft_commits);
-    w.Field("speculated", spec->speculated);
-    w.Field("committed", spec->committed);
-    w.Field("replayed", spec->replayed);
-    w.Field("wasted", spec->wasted);
-    w.Field("commit_efficiency", spec->commit_efficiency());
-    w.Field("waste_ratio", spec->waste_ratio());
-    w.Field("replayed_per_window", spec->replayed_per_window());
     w.EndObject();
   }
   w.Key("replay");
@@ -1266,10 +1129,6 @@ int main(int argc, char** argv) {
   const std::string json_out = flags.GetString("json_out", "");
   const int64_t max_rounds = flags.GetInt("max_rounds", 24);
   const bool check = flags.GetBool("check", true);
-  // Fixture hook: fail unless the metrics carry parallel-runner
-  // speculation counters (spec_windows > 0). Guards the report's
-  // speculation section against silently disappearing.
-  const bool expect_spec = flags.GetBool("expect_spec", false);
   // Fixture hook: fail unless the trace carries at least one AlertRaised
   // event (health monitor). Guards the alert pipeline the same way.
   const bool expect_alerts = flags.GetBool("alerts", false);
@@ -1285,7 +1144,7 @@ int main(int argc, char** argv) {
                  "usage: fgm_report --trace=trace.jsonl "
                  "[--metrics=metrics.json] [--timeseries=ts.json] "
                  "[--spans=spans.json] [--json_out=report.json] "
-                 "[--max_rounds=N] [--check=true] [--expect_spec=false] "
+                 "[--max_rounds=N] [--check=true] "
                  "[--alerts]\n");
     return 2;
   }
@@ -1313,16 +1172,6 @@ int main(int argc, char** argv) {
     }
     have_metrics = true;
     CheckMetrics(trace, metrics, &checks);
-  }
-  SpeculationSummary spec;
-  if (have_metrics) {
-    spec = ReadSpeculation(metrics);
-    CheckSpeculation(spec, &checks);
-  }
-  if (expect_spec) {
-    checks.Expect(spec.windows > 0,
-                  "expect_spec: metrics carry no speculation counters "
-                  "(spec_windows == 0 or --metrics missing)");
   }
   if (expect_alerts) {
     checks.Expect(trace.alerts_raised > 0,
@@ -1378,7 +1227,6 @@ int main(int argc, char** argv) {
   PrintSiteSkew(trace);
   PrintOptimizerAudit(trace, max_rounds);
   PrintAlerts(trace, max_rounds);
-  if (have_metrics) PrintSpeculation(metrics, spec);
   PrintNetwork(trace, have_metrics ? &metrics : nullptr,
                have_ts ? &ts : nullptr);
   if (have_spans) PrintCriticalPath(span_stats, critical_path, max_rounds);
@@ -1409,8 +1257,7 @@ int main(int argc, char** argv) {
   if (!json_out.empty()) {
     WriteJsonReport(json_out, trace_path, trace, replay, checks,
                     have_spans ? &span_stats : nullptr,
-                    have_spans ? &critical_path : nullptr,
-                    have_metrics ? &spec : nullptr);
+                    have_spans ? &critical_path : nullptr);
     std::printf("json report: %s\n", json_out.c_str());
   }
   return (check && !checks.ok()) ? 1 : 0;
