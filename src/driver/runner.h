@@ -21,6 +21,9 @@ class MetricsRegistry;
 class SpanSink;
 class TimeSeries;
 class TraceSink;
+namespace hier {
+class TreeTopology;
+}  // namespace hier
 
 enum class ProtocolKind {
   kCentral,   ///< centralizing baseline (the cost normalizer)
@@ -49,8 +52,8 @@ struct RunConfig {
   /// Network topology spec (src/hier). Empty = the flat star. "tree:<f>"
   /// or "tree:<f1>,<f2>,…" arranges the `sites` leaves under aggregator
   /// tiers of the given fanouts; a spec whose first level already covers
-  /// every site (fanout >= sites) IS the flat star and runs the flat
-  /// protocol byte-identically. Deep trees require an FGM-family
+  /// every site (fanout >= sites) IS the flat star and runs
+  /// byte-identically to an empty spec. Deep trees require an FGM-family
   /// protocol; GM/CENTRAL have no subround machinery to compose and
   /// reject them. Fault-plan site indices address tier-1 aggregators.
   std::string topology;
@@ -223,9 +226,16 @@ struct RunResult {
 /// the config, so all protocols in an experiment see the same sketch).
 std::unique_ptr<ContinuousQuery> MakeQuery(const RunConfig& config);
 
-/// Builds the protocol over `query`.
+/// Builds the protocol over `query`, on the topology config.topology
+/// names (the flat star when empty).
 std::unique_ptr<MonitoringProtocol> MakeProtocol(const RunConfig& config,
                                                  const ContinuousQuery* query);
+/// Same, over an already parsed `topo` (leaves == config.sites). Every
+/// FGM kind runs FgmProtocol on it; GM and CENTRAL accept the flat star
+/// only.
+std::unique_ptr<MonitoringProtocol> MakeProtocol(
+    const RunConfig& config, const ContinuousQuery* query,
+    const hier::TreeTopology& topo);
 
 /// Runs one experiment over `trace` (already partitioned into
 /// config.sites sites).

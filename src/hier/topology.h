@@ -43,6 +43,10 @@ class TreeTopology {
   static bool Parse(const std::string& spec, int leaves, TreeTopology* out,
                     std::string* error);
 
+  /// The flat star over `leaves` >= 1 sites (depth 1, spec "tree:k").
+  /// Parse() rejects fanout < 2, so only this constructor covers k = 1.
+  static TreeTopology Flat(int leaves);
+
   /// Number of edges on a root → leaf path (= number of link tiers).
   /// depth() == 1 is the flat star: no aggregators, root parents the
   /// leaves directly.

@@ -15,13 +15,6 @@ namespace fgm {
 
 namespace {
 
-/// Labels parsed from traces must outlive the returned TraceEvent;
-/// interning into a process-lifetime set gives them static storage.
-const char* Intern(const std::string& s) {
-  static std::set<std::string>* pool = new std::set<std::string>();
-  return pool->insert(s).first->c_str();
-}
-
 int64_t GetInt(const std::map<std::string, JsonValue>& obj,
                const std::string& key, int64_t fallback = 0) {
   const auto it = obj.find(key);
@@ -48,6 +41,7 @@ const char* GetLabel(const std::map<std::string, JsonValue>& obj,
   if (it == obj.end() || it->second.type != JsonValue::Type::kString) {
     return nullptr;
   }
+  // Labels parsed from traces must outlive the returned TraceEvent.
   return Intern(it->second.str);
 }
 

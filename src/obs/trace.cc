@@ -1,9 +1,16 @@
 #include "obs/trace.h"
 
+#include <set>
+
 #include "obs/json.h"
 #include "util/check.h"
 
 namespace fgm {
+
+const char* Intern(const std::string& s) {
+  static std::set<std::string>* pool = new std::set<std::string>();
+  return pool->insert(s).first->c_str();
+}
 
 const char* TraceEventKindName(TraceEventKind kind) {
   switch (kind) {

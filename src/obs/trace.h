@@ -90,6 +90,12 @@ struct TraceEvent {
   const char* reason = nullptr;  ///< static string: drop cause, poll cause
 };
 
+/// Gives `s` process-lifetime storage, so its c_str() can live in the
+/// static-string fields of a TraceEvent (label, reason) — for strings
+/// built at run time, such as parsed trace labels or a topology spec.
+/// Equal strings share one copy.
+const char* Intern(const std::string& s);
+
 /// Event consumer. Emitters call Emit(), which stamps the sequence number
 /// and forwards to the implementation. Emit is serialized by a mutex so
 /// concurrent emitters cannot tear the sequence numbering or the sink's

@@ -32,6 +32,7 @@
 #include "driver/runner.h"
 #include "hier/topology.h"
 #include "obs/replay.h"
+#include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "sim/net_config.h"
 #include "stream/worldcup.h"
@@ -194,9 +195,7 @@ RunConfig TreeConfig(ProtocolKind protocol, int sites,
   return config;
 }
 
-/// Runs with an in-memory trace sink (flat and depth-1 runs only: deep
-/// trees put the topology spec into RunStart by pointer, so their traces
-/// must be serialized before Run returns — use RunToFile).
+/// Runs with an in-memory trace sink.
 TreeRunOutput RunInMemory(RunConfig config,
                           const std::vector<StreamRecord>& trace) {
   MemoryTraceSink sink;
@@ -336,6 +335,41 @@ TEST(DeepTree, OptimizerProtocolPlansAtRootGranularity) {
   EXPECT_EQ(tree.topology, "tree:8,8");
   EXPECT_TRUE(report.ok()) << report.Summary();
   EXPECT_GT(report.plans, 0) << "FGM/O must still emit plan events";
+}
+
+TEST(DeepTree, RunStartTopologyOutlivesRun) {
+  // 16 characters: longer than libstdc++'s in-object string buffer, so a
+  // pointer into a topology local to Run would dangle once Run returns.
+  const std::string spec = "tree:2,2,2,2,2,2";
+  const std::vector<StreamRecord> trace = TestTrace(64, 5000);
+  MemoryTraceSink sink;
+  RunConfig config = TreeConfig(ProtocolKind::kFgm, 64, spec);
+  config.trace = &sink;
+  ::fgm::Run(config, trace);
+
+  ASSERT_FALSE(sink.events_log().empty());
+  const TraceEvent& start = sink.events_log().front();
+  ASSERT_EQ(start.kind, TraceEventKind::kRunStart);
+  ASSERT_NE(start.reason, nullptr);
+  EXPECT_EQ(std::string(start.reason), spec);
+  EXPECT_EQ(start.k, 2);
+  EXPECT_EQ(start.counter, 64);
+}
+
+TEST(DeepTree, TimeSeriesRecordsRoundSamples) {
+  const std::vector<StreamRecord> trace = TestTrace(16, 30000);
+  TimeSeries series(4096);
+  RunConfig config = TreeConfig(ProtocolKind::kFgm, 16, "tree:4");
+  config.timeseries = &series;
+  const RunResult tree = ::fgm::Run(config, trace);
+
+  int64_t round_samples = 0;
+  for (const RunSnapshot& s : series.Samples()) {
+    if (std::string(s.kind) == "round") ++round_samples;
+  }
+  EXPECT_GE(round_samples, 1);
+  // One sample per completed round (the last round is still open).
+  EXPECT_EQ(round_samples, tree.rounds - 1);
 }
 
 // ---------------------------------------------------------------------
