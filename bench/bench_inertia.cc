@@ -69,10 +69,10 @@ InertiaResult Measure(const std::vector<StreamRecord>& trace, int sites,
   constexpr int64_t kMinIdeal = 100;
 
   for (const StreamRecord& rec : trace) {
-    protocol.ProcessRecord(rec);
-    ++round_updates;
     deltas.clear();
     query.MapRecord(rec, &deltas);
+    protocol.ProcessRecord(rec, deltas);
+    ++round_updates;
     for (size_t j = 0; j < oracles.size();) {
       Oracle& o = oracles[j];
       for (const CellUpdate& u : deltas) {

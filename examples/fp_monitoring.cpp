@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
   fgm::SlidingWindowStream events(&trace, window);
   int64_t n = 0;
   while (const fgm::StreamRecord* rec = events.Next()) {
-    protocol.ProcessRecord(*rec);
     deltas.clear();
     query.MapRecord(*rec, &deltas);
+    protocol.ProcessRecord(*rec, deltas);
     for (const auto& u : deltas) {
       truth[u.index] += u.delta / static_cast<double>(sites);
     }

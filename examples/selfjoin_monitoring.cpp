@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
   int64_t n = 0;
   const int64_t report_every = updates / 8;
   while (const fgm::StreamRecord* rec = events.Next()) {
-    protocol.ProcessRecord(*rec);
     deltas.clear();
     query.MapRecord(*rec, &deltas);
+    protocol.ProcessRecord(*rec, deltas);
     for (const auto& u : deltas) {
       truth[u.index] += u.delta / static_cast<double>(sites);
     }

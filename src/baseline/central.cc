@@ -32,23 +32,28 @@ CentralProtocol::CentralProtocol(const ContinuousQuery* query, int num_sites,
 }
 
 void CentralProtocol::ProcessRecord(const StreamRecord& record) {
-  FGM_CHECK(record.site >= 0 && record.site < sites_k_);
-  if (sim_ != nullptr) sim_->Advance(1);
-  // The update crosses the wire verbatim; the coordinator projects the
-  // DELIVERED record (normally 1 word; 2 for keys beyond 62 bits).
-  const RawUpdateMsg delivered = transport_->SendRawUpdate(
-      record.site, RawUpdateMsg::FromRecord(record));
-  delta_scratch_.clear();
+  cells_.clear();
   {
     ScopedTimer timed(sketch_timer_);
-    query_->MapRecord(delivered.ToRecord(record.site), &delta_scratch_);
+    query_->MapRecord(record, &cells_);
   }
+  ProcessRecord(record, cells_);
+}
+
+void CentralProtocol::ProcessRecord(const StreamRecord& record,
+                                    const std::vector<CellUpdate>& cells) {
+  FGM_CHECK(record.site >= 0 && record.site < sites_k_);
+  if (sim_ != nullptr) sim_->Advance(1);
+  // The update crosses the wire verbatim (normally 1 word; 2 for keys
+  // beyond 62 bits). The delivered record carries the cid, type and sign
+  // the projection reads — FromRecord checks the weight is ±1 and the
+  // serializing transport verifies the round trip bit for bit — so the
+  // coordinator applies the record's cells as the site mapped them.
+  transport_->SendRawUpdate(record.site, RawUpdateMsg::FromRecord(record));
   // Global state is the *average* of local states (§2.1): each update
   // contributes its deltas scaled by 1/k.
   const double inv_k = 1.0 / static_cast<double>(sites_k_);
-  for (const CellUpdate& u : delta_scratch_) {
-    state_[u.index] += inv_k * u.delta;
-  }
+  for (const CellUpdate& u : cells) state_[u.index] += inv_k * u.delta;
 }
 
 double CentralProtocol::Estimate() const { return query_->Evaluate(state_); }

@@ -35,6 +35,8 @@ class CentralProtocol : public MonitoringProtocol {
                   const sim::NetSimConfig& net = {});
 
   std::string name() const override { return "CENTRAL"; }
+  void ProcessRecord(const StreamRecord& record,
+                     const std::vector<CellUpdate>& cells) override;
   void ProcessRecord(const StreamRecord& record) override;
   const RealVector& GlobalEstimate() const override { return state_; }
   double Estimate() const override;
@@ -58,7 +60,7 @@ class CentralProtocol : public MonitoringProtocol {
   sim::EventNetwork* sim_ = nullptr;  // non-owning view into transport_
   WallTimer* sketch_timer_ = nullptr;
   RealVector state_;  // exact global state, scaled by 1/k
-  std::vector<CellUpdate> delta_scratch_;
+  std::vector<CellUpdate> cells_;  // one-argument ProcessRecord's map target
 };
 
 }  // namespace fgm

@@ -126,11 +126,24 @@ std::string FgmProtocol::name() const {
 }
 
 void FgmProtocol::ProcessRecord(const StreamRecord& record) {
+  cells_.clear();
+  {
+    ScopedTimer timed(sketch_timer_);
+    query_->MapRecord(record, &cells_);
+  }
+  ProcessRecord(record, cells_);
+}
+
+void FgmProtocol::ProcessRecord(const StreamRecord& record,
+                                const std::vector<CellUpdate>& cells) {
   if (sim_ != nullptr) SimTick();
   FGM_CHECK(record.site >= 0 && record.site < k_leaves_);
-  const int64_t increment =
-      sites_[static_cast<size_t>(record.site)].Process(
-          *query_, record, sketch_timer_, safe_fn_timer_);
+  int64_t increment = 0;
+  {
+    ScopedTimer timed(safe_fn_timer_);
+    increment =
+        sites_[static_cast<size_t>(record.site)].ApplyUpdate(record, cells);
+  }
   ++total_updates_;
   if (increment <= 0) return;
   if (depth_ == 1) {

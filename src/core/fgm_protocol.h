@@ -88,6 +88,8 @@ class FgmProtocol : public MonitoringProtocol {
               FgmConfig config);
 
   std::string name() const override;
+  void ProcessRecord(const StreamRecord& record,
+                     const std::vector<CellUpdate>& cells) override;
   void ProcessRecord(const StreamRecord& record) override;
   const RealVector& GlobalEstimate() const override { return estimate_; }
   double Estimate() const override { return query_value_; }
@@ -409,6 +411,7 @@ class FgmProtocol : public MonitoringProtocol {
   bool tier_ends_emitted_ = false;
 
   RealVector flush_scratch_;  // verbatim-flush re-projection target
+  std::vector<CellUpdate> cells_;  // one-argument ProcessRecord's map target
 };
 
 }  // namespace fgm

@@ -51,6 +51,8 @@ class FgmSite {
   /// Maps one local stream record through the query's sketch projection
   /// (into per-site scratch) and applies the resulting deltas; returns the
   /// counter increment to report (0 = stay silent). Timers may be null.
+  /// FgmProtocol hands the driver's cells to ApplyUpdate instead; this
+  /// self-mapping path times a site update on its own (perfbench, tests).
   int64_t Process(const ContinuousQuery& query, const StreamRecord& record,
                   WallTimer* sketch_timer, WallTimer* safe_fn_timer);
 

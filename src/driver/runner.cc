@@ -340,9 +340,9 @@ RunResult Run(const RunConfig& base_config,
     return use_count ? count_events.Next() : time_events.Next();
   };
   int64_t n = 0;
-  auto verify_record = [&](const StreamRecord& rec) {
-    deltas.clear();
-    query->MapRecord(rec, &deltas);
+  // Adds the record's cells (already in `deltas`) into the ground truth and
+  // checks it against the protocol's thresholds at the check cadence.
+  auto verify_record = [&]() {
     for (const CellUpdate& u : deltas) truth[u.index] += inv_k * u.delta;
     if (n % config.check_every == 0 && protocol->BoundsCertified()) {
       const double q = query->Evaluate(truth);
@@ -448,10 +448,21 @@ RunResult Run(const RunConfig& base_config,
     }
   };
 
+  // Each event is mapped once: the site applies the cells and the ground
+  // truth adds the same cells. The map keeps the protocols' `sketch_update`
+  // timer, one sample per record.
+  WallTimer* sketch_timer = config.metrics != nullptr
+                                ? config.metrics->GetTimer("sketch_update")
+                                : nullptr;
   while (const StreamRecord* rec = next_event()) {
-    protocol->ProcessRecord(*rec);
+    deltas.clear();
+    {
+      ScopedTimer timed(sketch_timer);
+      query->MapRecord(*rec, &deltas);
+    }
+    protocol->ProcessRecord(*rec, deltas);
     ++n;
-    if (verify) verify_record(*rec);
+    if (verify) verify_record();
     if (sample && n % snap_every == 0) interval_snapshot(n);
     if (live && n % live_every == 0) live_emit(n);
     if (progress > 0 && n % progress == 0) progress_emit(n);

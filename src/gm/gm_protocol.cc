@@ -81,19 +81,24 @@ void GmProtocol::StartRound() {
 }
 
 void GmProtocol::ProcessRecord(const StreamRecord& record) {
+  cells_.clear();
+  {
+    ScopedTimer timed(sketch_timer_);
+    query_->MapRecord(record, &cells_);
+  }
+  ProcessRecord(record, cells_);
+}
+
+void GmProtocol::ProcessRecord(const StreamRecord& record,
+                               const std::vector<CellUpdate>& cells) {
   if (sim_ != nullptr) sim_->Advance(1);
   FGM_CHECK(record.site >= 0 && record.site < sites_k_);
   Site& site = sites_[static_cast<size_t>(record.site)];
-  site.scratch.clear();
-  {
-    ScopedTimer timed(sketch_timer_);
-    query_->MapRecord(record, &site.scratch);
-  }
   site.log.Record(record, query_->dimension());
   double v;
   {
     ScopedTimer timed(safe_fn_timer_);
-    for (const CellUpdate& u : site.scratch) {
+    for (const CellUpdate& u : cells) {
       site.evaluator->ApplyDelta(u.index, u.delta);
     }
     v = site.evaluator->Value();

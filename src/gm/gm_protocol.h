@@ -69,6 +69,8 @@ class GmProtocol : public MonitoringProtocol {
   std::string name() const override {
     return config_.rebalance ? "GM" : "GM-nosync";
   }
+  void ProcessRecord(const StreamRecord& record,
+                     const std::vector<CellUpdate>& cells) override;
   void ProcessRecord(const StreamRecord& record) override;
   const RealVector& GlobalEstimate() const override { return estimate_; }
   double Estimate() const override { return query_value_; }
@@ -100,8 +102,6 @@ class GmProtocol : public MonitoringProtocol {
     /// reproduces the site's drift bit-exactly (GM drifts are cumulative,
     /// unlike FGM's flush-and-reset).
     RealVector known;
-    /// Per-site sketch-delta scratch.
-    std::vector<CellUpdate> scratch;
   };
 
   void StartRound();
@@ -126,6 +126,7 @@ class GmProtocol : public MonitoringProtocol {
   double query_value_ = 0.0;
   ThresholdPair thresholds_{0.0, 0.0};
   std::unique_ptr<SafeFunction> safe_fn_;
+  std::vector<CellUpdate> cells_;  // one-argument ProcessRecord's map target
 
   std::vector<Site> sites_;
 

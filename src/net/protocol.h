@@ -4,12 +4,17 @@
 // The driver feeds records one at a time; a protocol routes each record to
 // its site, simulates whatever communication the real protocol would
 // perform (synchronously), and keeps the coordinator estimate up to date.
+//
+// Each record is mapped through the query's projection once per event: the
+// driver maps it, hands the cells to ProcessRecord(record, cells) and adds
+// the same cells into its ground truth.
 
 #ifndef FGM_NET_PROTOCOL_H_
 #define FGM_NET_PROTOCOL_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "net/network.h"
 #include "query/query.h"
@@ -28,7 +33,14 @@ class MonitoringProtocol {
 
   virtual std::string name() const = 0;
 
-  /// Processes one stream record at its site.
+  /// Processes one stream record at its site. `cells` is
+  /// query.MapRecord(record): the protocol applies them and does not map
+  /// the record again.
+  virtual void ProcessRecord(const StreamRecord& record,
+                             const std::vector<CellUpdate>& cells) = 0;
+
+  /// Maps `record` into protocol scratch (timed as `sketch_update` when
+  /// metrics are attached) and forwards to the cells-taking overload.
   virtual void ProcessRecord(const StreamRecord& record) = 0;
 
   /// The coordinator's current estimate vector E.

@@ -154,9 +154,9 @@ TEST(HeavyHitterQuery, EndToEndSetGuaranteeUnderFgm) {
   int64_t checks = 0;
   bool past_bootstrap = false;
   while (const StreamRecord* rec = events.Next()) {
-    protocol.ProcessRecord(*rec);
     deltas.clear();
     query.MapRecord(*rec, &deltas);
+    protocol.ProcessRecord(*rec, deltas);
     for (const auto& u : deltas) truth[u.index] += u.delta / 5.0;
     if (protocol.rounds() != rounds_seen) {
       rounds_seen = protocol.rounds();

@@ -137,9 +137,9 @@ TEST(MultiQuery, EndToEndBothGuaranteesUnderFgm) {
   SlidingWindowStream events(&trace, 1500.0);
   int64_t n = 0;
   while (const StreamRecord* rec = events.Next()) {
-    protocol.ProcessRecord(*rec);
     deltas.clear();
     multi->MapRecord(*rec, &deltas);
+    protocol.ProcessRecord(*rec, deltas);
     for (const auto& u : deltas) truth[u.index] += u.delta / 5.0;
     if (++n % 50 == 0 && protocol.BoundsCertified()) {
       const RealVector& e = protocol.GlobalEstimate();

@@ -10,10 +10,12 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fgm_protocol.h"
+#include "driver/runner.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/replay.h"
@@ -22,6 +24,7 @@
 #include "query/query.h"
 #include "sketch/fast_agms.h"
 #include "stream/record.h"
+#include "stream/worldcup.h"
 #include "util/rng.h"
 
 namespace fgm {
@@ -146,6 +149,38 @@ TEST(MetricsRegistry, JsonExportCarriesEveryInstrument) {
 TEST(ScopedTimer, NullTimerIsANoOp) {
   // Must not crash and must not require a registry.
   ScopedTimer timer(nullptr);
+}
+
+// Run maps each event once, outside the protocol, and times that map as
+// `sketch_update`: the timer keeps one sample per event, so the sketch share
+// of the time split does not silently drop to zero. The site's safe-function
+// update stays timed inside the protocol (FGM and GM).
+TEST(MetricsRegistry, RunTimesOneSketchUpdatePerEvent) {
+  WorldCupConfig trace_config;
+  trace_config.sites = 5;
+  trace_config.total_updates = 20000;
+  trace_config.duration = 10000.0;
+  trace_config.distinct_clients = 2000;
+  const std::vector<StreamRecord> trace = GenerateWorldCupTrace(trace_config);
+  for (const ProtocolKind kind :
+       {ProtocolKind::kFgm, ProtocolKind::kGm, ProtocolKind::kCentral}) {
+    MetricsRegistry registry;
+    RunConfig config;
+    config.protocol = kind;
+    config.sites = 5;
+    config.width = 60;
+    config.window_seconds = 1500.0;
+    config.check_every = 1000;
+    config.metrics = &registry;
+    const RunResult result = ::fgm::Run(config, trace);
+    ASSERT_GT(result.events, 20000) << ProtocolKindName(kind);
+    EXPECT_EQ(registry.GetTimer("sketch_update")->count(), result.events)
+        << ProtocolKindName(kind);
+    if (kind != ProtocolKind::kCentral) {
+      EXPECT_EQ(registry.GetTimer("safe_fn_eval")->count(), result.events)
+          << ProtocolKindName(kind);
+    }
+  }
 }
 
 // Golden JSONL lines: the schema is a contract with the offline checker

@@ -118,9 +118,9 @@ TEST_P(QuantileSweep, GuaranteeHoldsEndToEndUnderFgm) {
   SlidingWindowStream events(&trace, window);
   int64_t checks = 0;
   while (const StreamRecord* rec = events.Next()) {
-    protocol.ProcessRecord(*rec);
     deltas.clear();
     query.MapRecord(*rec, &deltas);
+    protocol.ProcessRecord(*rec, deltas);
     for (const auto& u : deltas) truth[u.index] += u.delta / 5.0;
     if (protocol.BoundsCertified()) {
       const ThresholdPair t = protocol.CurrentThresholds();
