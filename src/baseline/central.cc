@@ -12,23 +12,15 @@ CentralProtocol::CentralProtocol(const ContinuousQuery* query, int num_sites,
                                  const sim::NetSimConfig& net)
     : query_(query),
       sites_k_(num_sites),
-      transport_(net.enabled()
-                     ? std::make_unique<sim::EventNetwork>(num_sites, net)
-                     : MakeTransport(transport, num_sites)),
       state_(query->dimension()) {
   FGM_CHECK(query != nullptr);
   FGM_CHECK_GE(num_sites, 1);
   // The baseline forwards from every site on every record; a fault plan
   // would make that contact a protocol error (no crash handshake here).
   FGM_CHECK(net.fault_plan.empty());
-  if (net.enabled()) {
-    sim_ = static_cast<sim::EventNetwork*>(transport_.get());
-  }
+  transport_ = sim::MakeTransport(transport, num_sites, net, &sim_);
   if (trace != nullptr) transport_->set_trace(trace);
-  if (metrics != nullptr) {
-    transport_->set_metrics(metrics);
-    sketch_timer_ = metrics->GetTimer("sketch_update");
-  }
+  if (metrics != nullptr) sketch_timer_ = metrics->GetTimer("sketch_update");
 }
 
 void CentralProtocol::ProcessRecord(const StreamRecord& record) {
@@ -49,7 +41,7 @@ void CentralProtocol::ProcessRecord(const StreamRecord& record,
   // the projection reads — FromRecord checks the weight is ±1 and the
   // serializing transport verifies the round trip bit for bit — so the
   // coordinator applies the record's cells as the site mapped them.
-  transport_->SendRawUpdate(record.site, RawUpdateMsg::FromRecord(record));
+  transport_->Send(record.site, RawUpdateMsg::FromRecord(record));
   // Global state is the *average* of local states (§2.1): each update
   // contributes its deltas scaled by 1/k.
   const double inv_k = 1.0 / static_cast<double>(sites_k_);

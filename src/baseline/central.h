@@ -21,6 +21,9 @@
 
 namespace fgm {
 
+class MetricsRegistry;
+class WallTimer;
+
 class CentralProtocol : public MonitoringProtocol {
  public:
   /// `trace` / `metrics` are non-owning observability hooks (obs/);

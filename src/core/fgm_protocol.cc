@@ -12,23 +12,6 @@
 
 namespace fgm {
 
-namespace {
-
-// An enabled net-sim config swaps the root tier's synchronous transport
-// for the discrete-event network; everything downstream only sees
-// Transport. Only the root tier runs over it: the fault plan's indices
-// address root children, and the root links are the bottleneck whose
-// latency/loss behaviour the simulation studies.
-std::unique_ptr<Transport> MakeTierTransport(const FgmConfig& config, int tier,
-                                             int endpoints) {
-  if (tier == 0 && config.net.enabled()) {
-    return std::make_unique<sim::EventNetwork>(endpoints, config.net);
-  }
-  return MakeTransport(config.transport, endpoints);
-}
-
-}  // namespace
-
 FgmProtocol::FgmProtocol(const ContinuousQuery* query, int num_sites,
                          FgmConfig config)
     : FgmProtocol(query, hier::TreeTopology::Flat(num_sites), config) {}
@@ -51,18 +34,22 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
   FGM_CHECK_LT(config_.eps_psi, 1.0);
   FGM_CHECK_GE(config_.max_subrounds_per_round, 1);
 
+  // An enabled net-sim config swaps the root tier's synchronous transport
+  // for the discrete-event network; everything downstream only sees
+  // Transport. Only the root tier runs over it: the fault plan's indices
+  // address root children, and the root links are the bottleneck whose
+  // latency/loss behaviour the simulation studies.
   transports_.reserve(static_cast<size_t>(depth_));
-  for (int t = 0; t < depth_; ++t) {
+  transports_.push_back(
+      sim::MakeTransport(config_.transport, m_, config_.net, &sim_));
+  for (int t = 1; t < depth_; ++t) {
     transports_.push_back(
-        MakeTierTransport(config_, t, topo_.NodesAt(t + 1)));
+        std::make_unique<Transport>(topo_.NodesAt(t + 1), config_.transport));
     // Tier 0 keeps the default stamp (0) so root-tier traces stay in the
     // flat schema; lower tiers stamp every event/span they emit.
-    transports_.back()->network().set_tier(t);
+    transports_.back()->set_tier(t);
   }
-  if (config_.net.enabled()) {
-    sim_ = static_cast<sim::EventNetwork*>(transports_[0].get());
-    lossy_net_ = config_.net.lossy();
-  }
+  if (sim_ != nullptr) lossy_net_ = config_.net.lossy();
 
   sites_.reserve(static_cast<size_t>(k_leaves_));
   for (int i = 0; i < k_leaves_; ++i) {
@@ -104,7 +91,6 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
     if (trace_ != nullptr) transport->set_trace(trace_);
     if (spans_ != nullptr) transport->set_spans(spans_);
     if (config_.span_wire) transport->set_span_wire(true);
-    if (config_.metrics != nullptr) transport->set_metrics(config_.metrics);
   }
   if (config_.metrics != nullptr) {
     sketch_timer_ = config_.metrics->GetTimer("sketch_update");
@@ -158,7 +144,7 @@ void FgmProtocol::ProcessRecord(const StreamRecord& record,
   if (in_round_[static_cast<size_t>(anc)] == 0) return;
   const int parent = topo_.Parent(depth_, record.site);
   const CounterMsg delivered =
-      transports_[static_cast<size_t>(depth_ - 1)]->SendCounter(
+      transports_[static_cast<size_t>(depth_ - 1)]->Send(
           record.site, CounterMsg{increment});
   NoteChildUnits(depth_ - 1, parent, delivered.increment);
 }
@@ -180,8 +166,7 @@ void FgmProtocol::ExportToRoot(int j, int64_t delta) {
   }
   if (in_round_[s] == 0) return;
   // One-word message carrying the increase to c_j.
-  const CounterMsg delivered =
-      transports_[0]->SendCounter(j, CounterMsg{delta});
+  const CounterMsg delivered = transports_[0]->Send(j, CounterMsg{delta});
   counter_total_ += delivered.increment;
   if (trace_ != nullptr) {
     TraceEvent e;
@@ -211,10 +196,9 @@ void FgmProtocol::CascadeZone(int tier, int node, bool full) {
   const int end = topo_.ChildEnd(tier, node);
   for (int c = begin; c < end; ++c) {
     if (full) {
-      transports_[static_cast<size_t>(tier)]->ShipSafeZone(
-          c, SafeZoneMsg{estimate_});
+      transports_[static_cast<size_t>(tier)]->Ship(c, SafeZoneMsg{estimate_});
     } else {
-      transports_[static_cast<size_t>(tier)]->ShipCheapZone(
+      transports_[static_cast<size_t>(tier)]->Ship(
           c, CheapZoneMsg{cheap_fn_->LipschitzBound(), 1.0,
                           cheap_fn_->AtZero()});
     }
@@ -242,10 +226,10 @@ void FgmProtocol::CascadeSubround(int tier, int node, double theta_up,
     const int64_t counter_before = a.counter_local;
     double z = 0.0;
     for (int c = a.child_begin; c < a.child_end; ++c) {
-      transports_[static_cast<size_t>(tier)]->ShipControl(
+      transports_[static_cast<size_t>(tier)]->Ship(
           c, ControlMsg{ControlOp::kPollPhi});
       const PhiValueMsg reply =
-          transports_[static_cast<size_t>(tier)]->SendPhiValue(
+          transports_[static_cast<size_t>(tier)]->Send(
               c, PhiValueMsg{ChildValue(tier + 1, c)});
       z += reply.value;
     }
@@ -268,7 +252,7 @@ void FgmProtocol::CascadeSubround(int tier, int node, double theta_up,
   a.last_reported = a.z_up;
   for (int c = a.child_begin; c < a.child_end; ++c) {
     const QuantumMsg delivered =
-        transports_[static_cast<size_t>(tier)]->ShipQuantum(
+        transports_[static_cast<size_t>(tier)]->Ship(
             c, QuantumMsg{a.theta_local});
     CascadeSubround(tier + 1, c, delivered.theta, analytic);
   }
@@ -283,8 +267,7 @@ void FgmProtocol::CascadeLambda(int tier, int node, double lambda) {
   const int end = topo_.ChildEnd(tier, node);
   for (int c = begin; c < end; ++c) {
     const LambdaMsg delivered =
-        transports_[static_cast<size_t>(tier)]->ShipLambda(
-            c, LambdaMsg{lambda});
+        transports_[static_cast<size_t>(tier)]->Ship(c, LambdaMsg{lambda});
     CascadeLambda(tier + 1, c, delivered.lambda);
   }
 }
@@ -309,10 +292,10 @@ DriftFlushMsg FgmProtocol::CollectFlush(int tier, int node) {
   RealVector sum(query_->dimension());
   int64_t count = 0;
   for (int c = begin; c < end; ++c) {
-    transports_[static_cast<size_t>(tier)]->ShipControl(
+    transports_[static_cast<size_t>(tier)]->Ship(
         c, ControlMsg{ControlOp::kFlushRequest});
     const DriftFlushMsg delivered =
-        transports_[static_cast<size_t>(tier)]->SendDriftFlush(
+        transports_[static_cast<size_t>(tier)]->Send(
             c, CollectFlush(tier + 1, c));
     if (trace_ != nullptr) {
       TraceEvent e;
@@ -405,10 +388,10 @@ void FgmProtocol::LocalPoll(int tier, int node) {
   const int64_t counter_before = a.counter_local;
   double z = 0.0;
   for (int c = a.child_begin; c < a.child_end; ++c) {
-    transports_[static_cast<size_t>(tier)]->ShipControl(
+    transports_[static_cast<size_t>(tier)]->Ship(
         c, ControlMsg{ControlOp::kPollPhi});
     const PhiValueMsg reply =
-        transports_[static_cast<size_t>(tier)]->SendPhiValue(
+        transports_[static_cast<size_t>(tier)]->Send(
             c, PhiValueMsg{ChildValue(tier + 1, c)});
     z += reply.value;
   }
@@ -428,7 +411,7 @@ void FgmProtocol::LocalPoll(int tier, int node) {
   }
   for (int c = a.child_begin; c < a.child_end; ++c) {
     const QuantumMsg delivered =
-        transports_[static_cast<size_t>(tier)]->ShipQuantum(
+        transports_[static_cast<size_t>(tier)]->Ship(
             c, QuantumMsg{a.theta_local});
     RebaselineChild(tier + 1, c, delivered.theta);
   }
@@ -462,7 +445,7 @@ void FgmProtocol::ExportUp(int tier, int node) {
     return;
   }
   const CounterMsg delivered =
-      transports_[static_cast<size_t>(tier - 1)]->SendCounter(
+      transports_[static_cast<size_t>(tier - 1)]->Send(
           node, CounterMsg{delta});
   NoteChildUnits(tier - 1, topo_.Parent(tier, node), delivered.increment);
 }
@@ -728,10 +711,10 @@ void FgmProtocol::StartRound() {
     if (in_round_[static_cast<size_t>(j)] == 0) continue;
     const bool full = plan_[static_cast<size_t>(j)] != 0;
     if (full) {
-      transports_[0]->ShipSafeZone(j, SafeZoneMsg{estimate_});
+      transports_[0]->Ship(j, SafeZoneMsg{estimate_});
       ++full_function_ships_;
     } else {
-      transports_[0]->ShipCheapZone(
+      transports_[0]->Ship(
           j, CheapZoneMsg{cheap_fn_->LipschitzBound(), 1.0,
                           cheap_fn_->AtZero()});
     }
@@ -881,7 +864,7 @@ void FgmProtocol::StartSubround(double psi_total, bool analytic) {
   for (int j = 0; j < m_; ++j) {
     if (in_round_[static_cast<size_t>(j)] == 0) continue;
     const QuantumMsg delivered =
-        transports_[0]->ShipQuantum(j, QuantumMsg{quantum});
+        transports_[0]->Ship(j, QuantumMsg{quantum});
     CascadeSubround(1, j, delivered.theta, analytic);
     coord_seen_ci_[static_cast<size_t>(j)] = 0;
   }
@@ -897,9 +880,9 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
   double delta_psi = 0.0;  // Δψ_n of §2.5.1: Σ_i (sup Φ_i,n - inf Φ_i,n)
   for (int j = 0; j < m_; ++j) {
     if (in_round_[static_cast<size_t>(j)] == 0) continue;
-    transports_[0]->ShipControl(j, ControlMsg{ControlOp::kPollPhi});
+    transports_[0]->Ship(j, ControlMsg{ControlOp::kPollPhi});
     const PhiValueMsg reply =
-        transports_[0]->SendPhiValue(j, PhiValueMsg{ChildValue(1, j)});
+        transports_[0]->Send(j, PhiValueMsg{ChildValue(1, j)});
     psi += reply.value;
     if (depth_ == 1) {
       delta_psi += sites_[static_cast<size_t>(j)].SubroundValueRange();
@@ -971,9 +954,9 @@ bool FgmProtocol::CheapRoundOverBudget() const {
 }
 
 void FgmProtocol::FlushChild(int j, bool book_round) {
-  transports_[0]->ShipControl(j, ControlMsg{ControlOp::kFlushRequest});
+  transports_[0]->Ship(j, ControlMsg{ControlOp::kFlushRequest});
   const DriftFlushMsg delivered =
-      transports_[0]->SendDriftFlush(j, CollectFlush(1, j));
+      transports_[0]->Send(j, CollectFlush(1, j));
   if (trace_ != nullptr) {
     TraceEvent e;
     e.kind = TraceEventKind::kDriftFlush;
@@ -1106,7 +1089,7 @@ void FgmProtocol::TryRebalance() {
     for (int j = 0; j < m_; ++j) {
       if (in_round_[static_cast<size_t>(j)] == 0) continue;
       const LambdaMsg delivered =
-          transports_[0]->ShipLambda(j, LambdaMsg{lambda_});
+          transports_[0]->Ship(j, LambdaMsg{lambda_});
       CascadeLambda(1, j, delivered.lambda);
     }
     StartSubround(psi + psi_b_, /*analytic=*/true);
@@ -1279,7 +1262,7 @@ void FgmProtocol::ResyncSite(int j) {
     e.reason = "rejoin";
     trace_->Emit(e);
   }
-  ResyncChild(j, transports_[0]->ShipResync(j, msg));
+  ResyncChild(j, transports_[0]->Ship(j, msg));
   // The child's per-subround counter restarted from zero; re-baseline.
   // Pre-crash datagrams still in flight for this epoch then re-apply as
   // fresh deltas — that only inflates c (an earlier poll), never misses.
@@ -1381,9 +1364,9 @@ void FgmProtocol::MaybeSilencePoll() {
   for (int j = 0; j < m_; ++j) {
     const size_t s = static_cast<size_t>(j);
     if (in_round_[s] == 0 || child_ok_[s] == 0) continue;
-    transports_[0]->ShipControl(j, ControlMsg{ControlOp::kPollCounter});
+    transports_[0]->Ship(j, ControlMsg{ControlOp::kPollCounter});
     const CounterMsg reply =
-        transports_[0]->SendCounter(j, CounterMsg{ChildCounter(j)});
+        transports_[0]->Send(j, CounterMsg{ChildCounter(j)});
     ApplyCounterDelta(j, reply.increment, "timeout-poll");
   }
   if (counter_total_ > live_m_) PollAndAdvance();

@@ -35,6 +35,9 @@
 
 namespace fgm {
 
+class MetricsRegistry;
+class WallTimer;
+
 struct GmConfig {
   /// How protocol messages travel (see FgmConfig::transport).
   TransportMode transport = TransportMode::kAuto;

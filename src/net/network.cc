@@ -1,9 +1,5 @@
 #include "net/network.h"
 
-#include "obs/span.h"
-#include "obs/trace.h"
-#include "util/check.h"
-
 namespace fgm {
 
 const char* MsgKindName(MsgKind kind) {
@@ -30,58 +26,6 @@ const char* MsgKindName(MsgKind kind) {
       break;
   }
   return "unknown";
-}
-
-SimNetwork::SimNetwork(int sites) : sites_(sites) { FGM_CHECK_GE(sites, 1); }
-
-void SimNetwork::EmitMsg(int site, MsgKind kind, int64_t words, int dir) {
-  TraceEvent e;
-  e.kind = TraceEventKind::kMsgSent;
-  e.site = site;
-  e.label = MsgKindName(kind);
-  e.dir = dir;
-  e.words = words;
-  e.tier = tier_;
-  trace_->Emit(e);
-}
-
-void SimNetwork::EmitSpan(int site, MsgKind kind, int64_t words, int dir) {
-  // The synchronous simulation transmits instantaneously, so the span is
-  // a point interval; its value is the words/kind/causal-parent record.
-  Span s;
-  s.kind = SpanKind::kMsg;
-  s.site = site;
-  s.begin = spans_->Now();
-  s.words = words;
-  s.count = 1;
-  s.dir = dir;
-  s.tier = tier_;
-  s.label = MsgKindName(kind);
-  spans_->EmitComplete(s);
-}
-
-void SimNetwork::Downstream(int site, MsgKind kind, int64_t words) {
-  FGM_CHECK(site >= 0 && site < sites_);
-  FGM_CHECK_GE(words, 0);
-  stats_.downstream_words += words;
-  stats_.downstream_messages += 1;
-  stats_.words_by_kind[static_cast<size_t>(kind)] += words;
-  if (trace_ != nullptr) EmitMsg(site, kind, words, /*dir=*/-1);
-  if (spans_ != nullptr) EmitSpan(site, kind, words, /*dir=*/-1);
-}
-
-void SimNetwork::Upstream(int site, MsgKind kind, int64_t words) {
-  FGM_CHECK(site >= 0 && site < sites_);
-  FGM_CHECK_GE(words, 0);
-  stats_.upstream_words += words;
-  stats_.upstream_messages += 1;
-  stats_.words_by_kind[static_cast<size_t>(kind)] += words;
-  if (trace_ != nullptr) EmitMsg(site, kind, words, /*dir=*/1);
-  if (spans_ != nullptr) EmitSpan(site, kind, words, /*dir=*/1);
-}
-
-void SimNetwork::Broadcast(MsgKind kind, int64_t words_per_site) {
-  for (int s = 0; s < sites_; ++s) Upstream(s, kind, words_per_site);
 }
 
 }  // namespace fgm

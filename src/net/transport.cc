@@ -1,12 +1,9 @@
 #include "net/transport.h"
 
 #include <cstdlib>
-#include <utility>
-#include <vector>
 
-#include "obs/metrics.h"
 #include "obs/span.h"
-#include "util/check.h"
+#include "obs/trace.h"
 
 namespace fgm {
 
@@ -17,207 +14,7 @@ bool StrictWireEnv() {
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
 }
 
-class CountingTransport final : public Transport {
- public:
-  explicit CountingTransport(int sites) : Transport(sites) {}
-
-  const char* name() const override { return "counting"; }
-
-  SafeZoneMsg ShipSafeZone(int site, SafeZoneMsg msg) override {
-    network_.Upstream(site, MsgKind::kSafeZone, msg.Words() + SpanWireExtra());
-    return msg;
-  }
-  CheapZoneMsg ShipCheapZone(int site, CheapZoneMsg msg) override {
-    // Cheap bounds are safe-zone shipments in the cost breakdown.
-    network_.Upstream(site, MsgKind::kSafeZone,
-                      CheapZoneMsg::kWords + SpanWireExtra());
-    return msg;
-  }
-  QuantumMsg ShipQuantum(int site, QuantumMsg msg) override {
-    network_.Upstream(site, MsgKind::kQuantum,
-                      QuantumMsg::kWords + SpanWireExtra());
-    return msg;
-  }
-  LambdaMsg ShipLambda(int site, LambdaMsg msg) override {
-    network_.Upstream(site, MsgKind::kLambda,
-                      LambdaMsg::kWords + SpanWireExtra());
-    return msg;
-  }
-  ControlMsg ShipControl(int site, ControlMsg msg) override {
-    network_.Upstream(site, MsgKind::kControl,
-                      ControlMsg::kWords + SpanWireExtra());
-    return msg;
-  }
-  ResyncMsg ShipResync(int site, ResyncMsg msg) override {
-    network_.Upstream(site, MsgKind::kResync, msg.Words() + SpanWireExtra());
-    return msg;
-  }
-  ControlMsg SendControl(int site, ControlMsg msg) override {
-    network_.Downstream(site, MsgKind::kControl,
-                        ControlMsg::kWords + SpanWireExtra());
-    return msg;
-  }
-  CounterMsg SendCounter(int site, CounterMsg msg) override {
-    network_.Downstream(site, MsgKind::kCounter,
-                        CounterMsg::kWords + SpanWireExtra());
-    return msg;
-  }
-  PhiValueMsg SendPhiValue(int site, PhiValueMsg msg) override {
-    network_.Downstream(site, MsgKind::kPhiValue,
-                        PhiValueMsg::kWords + SpanWireExtra());
-    return msg;
-  }
-  DriftFlushMsg SendDriftFlush(int site, DriftFlushMsg msg) override {
-    network_.Downstream(site, MsgKind::kDriftFlush,
-                        msg.Words() + SpanWireExtra());
-    return msg;
-  }
-  RawUpdateMsg SendRawUpdate(int site, RawUpdateMsg msg) override {
-    network_.Downstream(site, MsgKind::kRawUpdate,
-                        msg.Words() + SpanWireExtra());
-    return msg;
-  }
-};
-
-class SerializingTransport final : public Transport {
- public:
-  explicit SerializingTransport(int sites) : Transport(sites) {}
-
-  const char* name() const override { return "serializing"; }
-
-  SafeZoneMsg ShipSafeZone(int site, SafeZoneMsg msg) override {
-    const size_t dim = msg.reference.dim();
-    return RoundTrip(
-        msg, msg.Words(),
-        [dim](const WordBuffer& in) { return SafeZoneMsg::Decode(in, dim); },
-        [&](int64_t words) {
-          network_.Upstream(site, MsgKind::kSafeZone, words);
-        });
-  }
-  CheapZoneMsg ShipCheapZone(int site, CheapZoneMsg msg) override {
-    return RoundTrip(
-        msg, CheapZoneMsg::kWords,
-        [](const WordBuffer& in) { return CheapZoneMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Upstream(site, MsgKind::kSafeZone, words);
-        });
-  }
-  QuantumMsg ShipQuantum(int site, QuantumMsg msg) override {
-    return RoundTrip(
-        msg, QuantumMsg::kWords,
-        [](const WordBuffer& in) { return QuantumMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Upstream(site, MsgKind::kQuantum, words);
-        });
-  }
-  LambdaMsg ShipLambda(int site, LambdaMsg msg) override {
-    return RoundTrip(
-        msg, LambdaMsg::kWords,
-        [](const WordBuffer& in) { return LambdaMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Upstream(site, MsgKind::kLambda, words);
-        });
-  }
-  ControlMsg ShipControl(int site, ControlMsg msg) override {
-    return RoundTrip(
-        msg, ControlMsg::kWords,
-        [](const WordBuffer& in) { return ControlMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Upstream(site, MsgKind::kControl, words);
-        });
-  }
-  ResyncMsg ShipResync(int site, ResyncMsg msg) override {
-    const size_t dim = msg.reference.dim();
-    return RoundTrip(
-        msg, msg.Words(),
-        [dim](const WordBuffer& in) { return ResyncMsg::Decode(in, dim); },
-        [&](int64_t words) {
-          network_.Upstream(site, MsgKind::kResync, words);
-        });
-  }
-  ControlMsg SendControl(int site, ControlMsg msg) override {
-    return RoundTrip(
-        msg, ControlMsg::kWords,
-        [](const WordBuffer& in) { return ControlMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Downstream(site, MsgKind::kControl, words);
-        });
-  }
-  CounterMsg SendCounter(int site, CounterMsg msg) override {
-    return RoundTrip(
-        msg, CounterMsg::kWords,
-        [](const WordBuffer& in) { return CounterMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Downstream(site, MsgKind::kCounter, words);
-        });
-  }
-  PhiValueMsg SendPhiValue(int site, PhiValueMsg msg) override {
-    return RoundTrip(
-        msg, PhiValueMsg::kWords,
-        [](const WordBuffer& in) { return PhiValueMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Downstream(site, MsgKind::kPhiValue, words);
-        });
-  }
-  DriftFlushMsg SendDriftFlush(int site, DriftFlushMsg msg) override {
-    return RoundTrip(
-        msg, msg.Words(),
-        [](const WordBuffer& in) { return DriftFlushMsg::Decode(in); },
-        [&](int64_t words) {
-          network_.Downstream(site, MsgKind::kDriftFlush, words);
-        });
-  }
-  RawUpdateMsg SendRawUpdate(int site, RawUpdateMsg msg) override {
-    return RoundTrip(
-        msg, msg.Words(),
-        [](const WordBuffer& in) { return RawUpdateMsg::Decode(in, 0); },
-        [&](int64_t words) {
-          network_.Downstream(site, MsgKind::kRawUpdate, words);
-        });
-  }
-
- private:
-  /// The strict message path: encode, check encoded size == charged
-  /// words, charge, decode, check the decode re-encodes to identical
-  /// bits, deliver the decoded copy.
-  template <typename Msg, typename DecodeFn, typename ChargeFn>
-  Msg RoundTrip(const Msg& msg, int64_t charged_words, DecodeFn decode,
-                ChargeFn charge) {
-    WordBuffer wire;
-    {
-      ScopedTimer timed(encode_timer_);
-      msg.Encode(&wire);
-    }
-    FGM_CHECK_EQ(static_cast<int64_t>(wire.size_words()), charged_words);
-    charge(charged_words + SpanWireExtra());
-    ScopedTimer timed(decode_timer_);
-    // Decode sees the payload only — a receiver strips the known trailing
-    // span-id word before decoding (some payloads infer their length from
-    // the buffer size).
-    Msg decoded = decode(wire);
-    WordBuffer reencoded;
-    decoded.Encode(&reencoded);
-    if (span_wire_) {
-      // The span-id envelope is one trailing word, actually appended to
-      // the wire bits so the +1 charge is backed by transmitted words,
-      // and cross-checked bit-exactly like the payload.
-      const int64_t span_id = spans_ != nullptr ? spans_->CurrentId() : 0;
-      wire.PutCount(span_id);
-      reencoded.PutCount(span_id);
-    }
-    FGM_CHECK(wire.SameBits(reencoded));
-    return decoded;
-  }
-};
-
 }  // namespace
-
-void Transport::set_metrics(MetricsRegistry* metrics) {
-  encode_timer_ =
-      metrics != nullptr ? metrics->GetTimer("wire_encode") : nullptr;
-  decode_timer_ =
-      metrics != nullptr ? metrics->GetTimer("wire_decode") : nullptr;
-}
 
 TransportMode ResolveTransportMode(TransportMode mode) {
   if (mode != TransportMode::kAuto) return mode;
@@ -225,17 +22,54 @@ TransportMode ResolveTransportMode(TransportMode mode) {
                          : TransportMode::kCounting;
 }
 
-std::unique_ptr<Transport> MakeTransport(TransportMode mode, int sites) {
-  switch (ResolveTransportMode(mode)) {
-    case TransportMode::kCounting:
-      return std::make_unique<CountingTransport>(sites);
-    case TransportMode::kSerializing:
-      return std::make_unique<SerializingTransport>(sites);
-    case TransportMode::kAuto:
-      break;
+Transport::Transport(int sites, TransportMode mode)
+    : sites_(sites),
+      strict_(ResolveTransportMode(mode) == TransportMode::kSerializing) {
+  FGM_CHECK_GE(sites, 1);
+}
+
+void Transport::Book(int site, int dir, MsgKind kind, int64_t words) {
+  FGM_CHECK(site >= 0 && site < sites_);
+  FGM_CHECK_GE(words, 0);
+  if (dir > 0) {
+    stats_.upstream_words += words;
+    stats_.upstream_messages += 1;
+  } else {
+    stats_.downstream_words += words;
+    stats_.downstream_messages += 1;
   }
-  FGM_CHECK(false);
-  return nullptr;
+  stats_.words_by_kind[static_cast<size_t>(kind)] += words;
+  if (trace_ != nullptr) {
+    TraceEvent e;
+    e.kind = TraceEventKind::kMsgSent;
+    e.site = site;
+    e.label = MsgKindName(kind);
+    e.dir = dir;
+    e.words = words;
+    e.tier = tier_;
+    trace_->Emit(e);
+  }
+}
+
+void Transport::Carry(int site, int dir, MsgKind kind, int64_t words) {
+  Book(site, dir, kind, words);
+  if (spans_ == nullptr) return;
+  // The synchronous link transmits instantaneously, so the span is a
+  // point interval; its value is the words/kind/causal-parent record.
+  Span s;
+  s.kind = SpanKind::kMsg;
+  s.site = site;
+  s.begin = spans_->Now();
+  s.words = words;
+  s.count = 1;
+  s.dir = dir;
+  s.tier = tier_;
+  s.label = MsgKindName(kind);
+  spans_->EmitComplete(s);
+}
+
+int64_t Transport::WireSpanId() const {
+  return spans_ != nullptr ? spans_->CurrentId() : 0;
 }
 
 void ReprojectRawUpdates(const ContinuousQuery& query, int site,

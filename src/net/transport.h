@@ -1,108 +1,175 @@
-// Message-path transport with strict accounting.
+// The message path, with strict accounting.
 //
-// All coordinator ↔ site interactions of the protocols go through this
-// interface as typed wire messages (net/wire.h). Two implementations:
+// Every coordinator ↔ site message of the protocols is a typed wire struct
+// (net/wire.h) carried by one template: Ship(site, msg) sends it parent →
+// child, Send(site, msg) child → parent. Both go through Deliver<Msg>,
+// which charges the message's Words() (plus the optional span-id word) to
+// its class Msg::kKind and returns the message as the receiver gets it:
 //
-//  * CountingTransport — the fast simulation path: charges each message's
-//    word count to SimNetwork and hands the message through unchanged.
-//  * SerializingTransport — the strict path: ENCODES every message into a
-//    WordBuffer, cross-checks the encoded size against the charged word
-//    count, DECODES a fresh copy, verifies the decode re-encodes to the
-//    identical bits, and delivers the decoded copy. Any divergence
-//    between the cost model and the real wire format aborts loudly
-//    (FGM_CHECK), which is the point: the paper's headline metric is
-//    words on the wire, so a drift between "charged" and "transmitted"
-//    must be impossible to miss.
+//  * counting (the fast simulation path): only the words are charged; the
+//    caller's message comes back by move.
+//  * strict (TransportMode::kSerializing, and always under the event
+//    simulator): the message is ENCODED into a WordBuffer, the encoded
+//    size is checked against Words(), a fresh copy is DECODED and must
+//    re-encode to the identical bits, and the decoded copy is delivered.
+//    Any divergence between the cost model and the real wire format
+//    aborts loudly (FGM_CHECK), which is the point: the paper's headline
+//    metric is words on the wire, so a drift between "charged" and
+//    "transmitted" must be impossible to miss.
 //
 // Both modes charge identical word counts from the same message objects,
 // so reported costs are bit-identical across modes; strict mode only adds
-// the encode/decode/verify work. sim::EventNetwork (src/sim) implements
-// this same interface over a discrete-event queue with latency, loss and
-// fault injection; a future socket backend would slot in the same way.
+// the round trip.
+//
+// Every delivery ends in one virtual link hook, Carry(site, dir, kind,
+// words). The base hook is the synchronous link of the paper's
+// evaluation: it books the words in TrafficStats and emits a kMsgSent
+// event and a point span. sim::EventNetwork (src/sim) overrides only that
+// hook to add latency, loss, retransmission and faults; a socket backend
+// would slot in the same way.
+//
+// One Transport models one star: a parent and `sites` child endpoints
+// addressed by index. The flat protocols run one star (the coordinator and
+// its k sites); tree topologies (src/hier) run one per tier, whose child
+// endpoints are that tier's nodes, and stamp each with its tier.
 
 #ifndef FGM_NET_TRANSPORT_H_
 #define FGM_NET_TRANSPORT_H_
 
-#include <memory>
+#include <utility>
+#include <vector>
 
 #include "net/network.h"
 #include "net/wire.h"
 #include "query/query.h"
+#include "util/check.h"
 #include "util/real_vector.h"
 
 namespace fgm {
 
-class MetricsRegistry;
-class WallTimer;
+class SpanSink;
+class TraceSink;
 
 /// Resolves kAuto against the FGM_STRICT_WIRE environment variable.
 TransportMode ResolveTransportMode(TransportMode mode);
 
 class Transport {
  public:
-  explicit Transport(int sites) : network_(sites) {}
+  /// A synchronous star of `sites` child endpoints; `mode` picks counting
+  /// or strict delivery (kAuto resolves via the environment).
+  Transport(int sites, TransportMode mode);
   virtual ~Transport() = default;
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
 
-  int sites() const { return network_.sites(); }
-  const TrafficStats& stats() const { return network_.stats(); }
-  /// The traffic-accounting star under this transport. Exposed so tree
-  /// topologies (src/hier) can stamp each per-tier transport with its
-  /// tier (SimNetwork::set_tier) before wiring sinks.
-  SimNetwork& network() { return network_; }
-  virtual const char* name() const = 0;
-
-  /// Forwards per-message kMsgSent events to `trace` (nullptr disables).
-  /// Virtual: the event-network backend also emits delivery/drop events.
-  virtual void set_trace(TraceSink* trace) { network_.set_trace(trace); }
-
-  /// Forwards per-message spans to `spans` (nullptr disables). Virtual:
-  /// the event-network backend emits latency-stamped spans itself instead
-  /// of the point spans SimNetwork records.
-  virtual void set_spans(SpanSink* spans) {
-    spans_ = spans;
-    network_.set_spans(spans);
+  int sites() const { return sites_; }
+  const TrafficStats& stats() const { return stats_; }
+  virtual const char* name() const {
+    return strict_ ? "serializing" : "counting";
   }
+
+  /// Tree tier this star carries (src/hier): stamped onto every emitted
+  /// kMsgSent event and message span. Flat runs leave it 0 (the root
+  /// star), keeping their traces byte-identical.
+  void set_tier(int tier) { tier_ = tier; }
+  int tier() const { return tier_; }
+
+  /// Installs an event sink receiving one kMsgSent event per charged
+  /// message (nullptr disables tracing; the default).
+  void set_trace(TraceSink* trace) { trace_ = trace; }
+
+  /// Installs a span sink receiving the message spans (nullptr disables
+  /// spans; the default). Virtual: the event network rebases the sink
+  /// onto its simulated clock.
+  virtual void set_spans(SpanSink* spans) { spans_ = spans; }
 
   /// Enables the span-id wire envelope: every message carries the id of
   /// the innermost open span as one trailing word, charged like any other
-  /// payload word (and, on the serializing path, actually encoded so the
+  /// payload word (and, on the strict path, actually encoded so the
   /// charge stays provably honest). Off by default — default traffic is
   /// bit-identical with spans compiled in.
   void set_span_wire(bool on) { span_wire_ = on; }
 
-  /// Registers the wire_encode / wire_decode wall timers with `metrics`
-  /// (nullptr detaches). Only the serializing path does timed work.
-  void set_metrics(MetricsRegistry* metrics);
+  /// Parent → child `site`: charges `msg` and returns it as the child
+  /// receives it.
+  template <typename Msg>
+  Msg Ship(int site, Msg msg) {
+    return Deliver(site, /*dir=*/+1, std::move(msg));
+  }
 
-  // Coordinator → site. Each call charges the message's words and returns
-  // the message as the site receives it.
-  virtual SafeZoneMsg ShipSafeZone(int site, SafeZoneMsg msg) = 0;
-  virtual CheapZoneMsg ShipCheapZone(int site, CheapZoneMsg msg) = 0;
-  virtual QuantumMsg ShipQuantum(int site, QuantumMsg msg) = 0;
-  virtual LambdaMsg ShipLambda(int site, LambdaMsg msg) = 0;
-  virtual ControlMsg ShipControl(int site, ControlMsg msg) = 0;
-  virtual ResyncMsg ShipResync(int site, ResyncMsg msg) = 0;
-
-  // Site → coordinator.
-  virtual ControlMsg SendControl(int site, ControlMsg msg) = 0;
-  virtual CounterMsg SendCounter(int site, CounterMsg msg) = 0;
-  virtual PhiValueMsg SendPhiValue(int site, PhiValueMsg msg) = 0;
-  virtual DriftFlushMsg SendDriftFlush(int site, DriftFlushMsg msg) = 0;
-  virtual RawUpdateMsg SendRawUpdate(int site, RawUpdateMsg msg) = 0;
+  /// Child `site` → parent.
+  template <typename Msg>
+  Msg Send(int site, Msg msg) {
+    return Deliver(site, /*dir=*/-1, std::move(msg));
+  }
 
  protected:
+  /// The link hook: carries one message of `words` wire words (payload
+  /// plus span-id word) between the parent and child `site`, in direction
+  /// `dir` (+1 parent → child, -1 child → parent). The synchronous link
+  /// transmits instantly: it books the message and emits a point span.
+  virtual void Carry(int site, int dir, MsgKind kind, int64_t words);
+
+  /// Books one transmission: TrafficStats and a kMsgSent event.
+  void Book(int site, int dir, MsgKind kind, int64_t words);
+
+  /// The strict round trip: encode, check the encoded size equals
+  /// Words(), decode, check the decode re-encodes to identical bits, and
+  /// return the decoded copy.
+  template <typename Msg>
+  Msg RoundTrip(const Msg& msg) const;
+
   /// Extra words per message charged by the span-id envelope.
   int64_t SpanWireExtra() const { return span_wire_ ? 1 : 0; }
 
-  SimNetwork network_;
-  WallTimer* encode_timer_ = nullptr;
-  WallTimer* decode_timer_ = nullptr;
+  TraceSink* trace_ = nullptr;
   SpanSink* spans_ = nullptr;
+
+ private:
+  template <typename Msg>
+  Msg Deliver(int site, int dir, Msg msg) {
+    const int64_t words = msg.Words() + SpanWireExtra();
+    if (!strict_) {
+      Carry(site, dir, Msg::kKind, words);
+      return msg;
+    }
+    Msg decoded = RoundTrip(msg);
+    Carry(site, dir, Msg::kKind, words);
+    return decoded;
+  }
+
+  /// The span id the envelope carries: the innermost open span, or 0.
+  int64_t WireSpanId() const;
+
+  int sites_;
+  bool strict_;
+  int tier_ = 0;
   bool span_wire_ = false;
+  TrafficStats stats_;
 };
 
-/// Builds the transport for `mode` (kAuto resolves via the environment).
-std::unique_ptr<Transport> MakeTransport(TransportMode mode, int sites);
+template <typename Msg>
+Msg Transport::RoundTrip(const Msg& msg) const {
+  WordBuffer wire;
+  msg.Encode(&wire);
+  FGM_CHECK_EQ(static_cast<int64_t>(wire.size_words()), msg.Words());
+  // Decode sees the payload only — a receiver strips the known trailing
+  // span-id word before decoding (some payloads infer their length from
+  // the buffer size).
+  Msg decoded = Msg::Decode(wire);
+  WordBuffer reencoded;
+  decoded.Encode(&reencoded);
+  if (span_wire_) {
+    // The span-id envelope is one trailing word, actually appended to the
+    // wire bits so the +1 charge is backed by transmitted words, and
+    // cross-checked bit-exactly like the payload.
+    const int64_t span_id = WireSpanId();
+    wire.PutCount(span_id);
+    reencoded.PutCount(span_id);
+  }
+  FGM_CHECK(wire.SameBits(reencoded));
+  return decoded;
+}
 
 /// Re-projects verbatim raw updates through the shared query, summing the
 /// resulting deltas into `out` (which must be zeroed, query-dimensioned) —

@@ -73,6 +73,19 @@ ControlMsg ControlMsg::Decode(const WordBuffer& in) {
   return ControlMsg{static_cast<ControlOp>(op)};
 }
 
+ResyncMsg ResyncMsg::Decode(const WordBuffer& in) {
+  // The four scalars trail the D-word reference vector.
+  FGM_CHECK_GE(in.size_words(), 4u);
+  const size_t dim = in.size_words() - 4;
+  ResyncMsg msg;
+  msg.reference = in.GetVector(0, dim);
+  msg.theta = in.GetReal(dim);
+  msg.lambda = in.GetReal(dim + 1);
+  msg.round = in.GetCount(dim + 2);
+  msg.subround = in.GetCount(dim + 3);
+  return msg;
+}
+
 void RawUpdateMsg::Encode(WordBuffer* out) const {
   const uint64_t high = key >> 62;
   const uint64_t extended = high != 0 ? 1u : 0u;

@@ -1,13 +1,13 @@
 // Wire encodings for the protocol messages.
 //
 // The paper's cost model (§2.2) counts messages in *words*, each wide
-// enough for one real number. This header makes those counts concrete:
-// every message type has an explicit encoding into a word buffer, and the
-// transport layer (net/transport.h) cross-checks that the encoded sizes
-// equal the word counts charged to SimNetwork — in strict mode every
-// message is actually encoded, decoded and delivered from the decoded
-// copy. A deployment on a real transport can serialize exactly these
-// structures.
+// enough for one real number. This header makes those counts concrete.
+// Every message struct declares the same four members — its cost-breakdown
+// class kKind, its size Words(), Encode() and one Decode(const
+// WordBuffer&) — so the transport (net/transport.h) charges, and in strict
+// mode encodes, size-checks, decodes and bit-verifies, every message
+// through one template. A deployment on a real transport can serialize
+// exactly these structures.
 //
 // Drift transfers use whichever representation is smaller (§2.1): the
 // dense D-word vector, or the verbatim list of raw updates received since
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/network.h"
 #include "stream/record.h"
 #include "util/real_vector.h"
 
@@ -54,42 +55,50 @@ class WordBuffer {
 
 /// Subround quantum θ (coordinator → site), 1 word.
 struct QuantumMsg {
+  static constexpr MsgKind kKind = MsgKind::kQuantum;
+  static constexpr int64_t kWords = 1;
   double theta;
+  int64_t Words() const { return kWords; }
   void Encode(WordBuffer* out) const { out->PutReal(theta); }
   static QuantumMsg Decode(const WordBuffer& in) {
     return QuantumMsg{in.GetReal(0)};
   }
-  static constexpr int64_t kWords = 1;
 };
 
 /// Rebalancing scale λ (coordinator → site), 1 word.
 struct LambdaMsg {
+  static constexpr MsgKind kKind = MsgKind::kLambda;
+  static constexpr int64_t kWords = 1;
   double lambda;
+  int64_t Words() const { return kWords; }
   void Encode(WordBuffer* out) const { out->PutReal(lambda); }
   static LambdaMsg Decode(const WordBuffer& in) {
     return LambdaMsg{in.GetReal(0)};
   }
-  static constexpr int64_t kWords = 1;
 };
 
 /// Counter increment (site → coordinator), 1 word.
 struct CounterMsg {
+  static constexpr MsgKind kKind = MsgKind::kCounter;
+  static constexpr int64_t kWords = 1;
   int64_t increment;
+  int64_t Words() const { return kWords; }
   void Encode(WordBuffer* out) const { out->PutCount(increment); }
   static CounterMsg Decode(const WordBuffer& in) {
     return CounterMsg{in.GetCount(0)};
   }
-  static constexpr int64_t kWords = 1;
 };
 
 /// φ-value reply (site → coordinator), 1 word.
 struct PhiValueMsg {
+  static constexpr MsgKind kKind = MsgKind::kPhiValue;
+  static constexpr int64_t kWords = 1;
   double value;
+  int64_t Words() const { return kWords; }
   void Encode(WordBuffer* out) const { out->PutReal(value); }
   static PhiValueMsg Decode(const WordBuffer& in) {
     return PhiValueMsg{in.GetReal(0)};
   }
-  static constexpr int64_t kWords = 1;
 };
 
 /// Control opcodes: poll/flush requests, drift requests and violation
@@ -103,36 +112,43 @@ enum class ControlOp : int64_t {
 };
 
 struct ControlMsg {
+  static constexpr MsgKind kKind = MsgKind::kControl;
+  static constexpr int64_t kWords = 1;
   ControlOp op;
+  int64_t Words() const { return kWords; }
   void Encode(WordBuffer* out) const {
     out->PutCount(static_cast<int64_t>(op));
   }
   static ControlMsg Decode(const WordBuffer& in);
-  static constexpr int64_t kWords = 1;
 };
 
 /// Full safe-zone shipment (coordinator → site): the reference vector E,
-/// from which the site reconstructs φ (§2.4 step 1). D words.
+/// from which the site reconstructs φ (§2.4 step 1). D words; the decoder
+/// takes D from the buffer length.
 struct SafeZoneMsg {
+  static constexpr MsgKind kKind = MsgKind::kSafeZone;
   RealVector reference;
-  void Encode(WordBuffer* out) const { out->PutVector(reference); }
-  static SafeZoneMsg Decode(const WordBuffer& in, size_t dim) {
-    return SafeZoneMsg{in.GetVector(0, dim)};
-  }
   int64_t Words() const { return static_cast<int64_t>(reference.dim()); }
+  void Encode(WordBuffer* out) const { out->PutVector(reference); }
+  static SafeZoneMsg Decode(const WordBuffer& in) {
+    return SafeZoneMsg{in.GetVector(0, in.size_words())};
+  }
 };
 
 /// Crash/rejoin state snapshot (coordinator → site): the round's reference
 /// vector E plus the current quantum θ, scale λ and the (round, subround)
 /// epoch, from which a recovering site rebuilds its safe function and
-/// re-enters the protocol. D + 4 words, charged like any other message.
+/// re-enters the protocol. D + 4 words, charged like any other message;
+/// the decoder takes D from the buffer length.
 struct ResyncMsg {
+  static constexpr MsgKind kKind = MsgKind::kResync;
   RealVector reference;
   double theta = 0.0;
   double lambda = 1.0;
   int64_t round = 0;
   int64_t subround = 0;
 
+  int64_t Words() const { return static_cast<int64_t>(reference.dim()) + 4; }
   void Encode(WordBuffer* out) const {
     out->PutVector(reference);
     out->PutReal(theta);
@@ -140,25 +156,20 @@ struct ResyncMsg {
     out->PutCount(round);
     out->PutCount(subround);
   }
-  static ResyncMsg Decode(const WordBuffer& in, size_t dim) {
-    ResyncMsg msg;
-    msg.reference = in.GetVector(0, dim);
-    msg.theta = in.GetReal(dim);
-    msg.lambda = in.GetReal(dim + 1);
-    msg.round = in.GetCount(dim + 2);
-    msg.subround = in.GetCount(dim + 3);
-    return msg;
-  }
-  int64_t Words() const { return static_cast<int64_t>(reference.dim()) + 4; }
+  static ResyncMsg Decode(const WordBuffer& in);
 };
 
 /// Cheap safe-function shipment (§4.2.1): (p, q, a) — here the Lipschitz
 /// bound, an unused degree slot kept for parity with the paper's (p, q),
-/// and the offset a = φ(0). 3 words.
+/// and the offset a = φ(0). 3 words, booked as a safe-zone shipment in
+/// the cost breakdown.
 struct CheapZoneMsg {
+  static constexpr MsgKind kKind = MsgKind::kSafeZone;
+  static constexpr int64_t kWords = 3;
   double lipschitz;
   double degree;
   double offset;
+  int64_t Words() const { return kWords; }
   void Encode(WordBuffer* out) const {
     out->PutReal(lipschitz);
     out->PutReal(degree);
@@ -167,7 +178,6 @@ struct CheapZoneMsg {
   static CheapZoneMsg Decode(const WordBuffer& in) {
     return CheapZoneMsg{in.GetReal(0), in.GetReal(1), in.GetReal(2)};
   }
-  static constexpr int64_t kWords = 3;
 };
 
 /// One raw stream update, shipped verbatim and re-projected by the
@@ -179,15 +189,16 @@ struct CheapZoneMsg {
 /// silently dropped (the old single-word `key << 1` packing lost the MSB
 /// of large keys).
 struct RawUpdateMsg {
+  static constexpr MsgKind kKind = MsgKind::kRawUpdate;
   uint64_t key = 0;
   bool is_delete = false;
 
   /// Words on the wire: 1 for keys below 2^62, 2 beyond.
   int64_t Words() const { return (key >> 62) != 0 ? 2 : 1; }
   void Encode(WordBuffer* out) const;
-  /// Reads the update starting at `index`; the caller advances by the
-  /// returned message's Words().
-  static RawUpdateMsg Decode(const WordBuffer& in, size_t index);
+  /// Reads the update starting at `index`; a caller decoding a sequence
+  /// advances by the returned message's Words().
+  static RawUpdateMsg Decode(const WordBuffer& in, size_t index = 0);
 
   /// Packs a stream record: key = (cid << 3) | file type, delete flag from
   /// the weight's sign. Checks cid fits 61 bits and |weight| = 1.
@@ -229,6 +240,7 @@ class RawUpdateLog {
 /// wire, so a strict-mode decode of a verbatim flush delivers the raw
 /// updates and an empty drift for the coordinator to re-project.
 struct DriftFlushMsg {
+  static constexpr MsgKind kKind = MsgKind::kDriftFlush;
   int64_t update_count = 0;
   bool dense = true;
   RealVector drift;                      // when dense (or sender-local)

@@ -19,7 +19,7 @@ constexpr int kMaxRpcAttempts = 10000;
 }  // namespace
 
 EventNetwork::EventNetwork(int sites, const NetSimConfig& config)
-    : Transport(sites),
+    : Transport(sites, TransportMode::kSerializing),
       config_(config),
       rng_(config.seed),
       site_up_(static_cast<size_t>(sites), 1),
@@ -37,13 +37,8 @@ EventNetwork::EventNetwork(int sites, const NetSimConfig& config)
           config.reorder_window == 0;
 }
 
-void EventNetwork::set_trace(TraceSink* trace) {
-  trace_ = trace;
-  network_.set_trace(trace);
-}
-
 void EventNetwork::set_spans(SpanSink* spans) {
-  spans_ = spans;
+  Transport::set_spans(spans);
   if (spans != nullptr) spans->UseTickClock(&now_);
 }
 
@@ -55,26 +50,6 @@ bool EventNetwork::SiteUp(int site) const {
 void EventNetwork::Advance(int64_t ticks) {
   FGM_CHECK_GE(ticks, 0);
   now_ += ticks;
-}
-
-EventNetwork::Route EventNetwork::Resolve(int from, int to) const {
-  // General (from, to) addressing with the star constraint: this network
-  // models the links between one parent (kParent) and its children, so
-  // exactly one endpoint of every message is the parent. Tree topologies
-  // (src/hier) route along tree edges by addressing each tier's links
-  // parent-relative through its own network instance.
-  FGM_CHECK((from == kParent) != (to == kParent));
-  const int child = from == kParent ? to : from;
-  FGM_CHECK(child >= 0 && child < sites());
-  return Route{child, from == kParent ? +1 : -1};
-}
-
-void EventNetwork::Charge(Route route, MsgKind kind, int64_t words) {
-  if (route.dir > 0) {
-    network_.Upstream(route.child, kind, words);
-  } else {
-    network_.Downstream(route.child, kind, words);
-  }
 }
 
 bool EventNetwork::SampleDrop() {
@@ -103,66 +78,37 @@ int64_t EventNetwork::TransferTicks(int64_t words) const {
   return (words + config_.bandwidth - 1) / config_.bandwidth;
 }
 
-void EventNetwork::EmitNetEvent(TraceEventKind kind, Route route,
-                                MsgKind msg_kind, int64_t words,
-                                int64_t t, const char* reason) {
+void EventNetwork::EmitNetEvent(TraceEventKind kind, int site, int dir,
+                                MsgKind msg_kind, int64_t words, int64_t t,
+                                const char* reason) {
   if (trace_ == nullptr || null_) return;
   TraceEvent e;
   e.kind = kind;
-  e.site = route.child;
+  e.site = site;
   e.label = MsgKindName(msg_kind);
-  e.dir = route.dir;
+  e.dir = dir;
   e.words = words;
   e.t = t;
   e.reason = reason;
-  e.tier = network_.tier();
+  e.tier = tier();
   trace_->Emit(e);
 }
 
-template <typename Msg, typename DecodeFn>
-Msg EventNetwork::CheckedRoundTrip(const Msg& msg, int64_t charged_words,
-                                   DecodeFn decode) {
-  WordBuffer wire;
-  msg.Encode(&wire);
-  FGM_CHECK_EQ(static_cast<int64_t>(wire.size_words()), charged_words);
-  // Decode sees the payload only — a receiver strips the known trailing
-  // span-id word before decoding (some payloads infer their length from
-  // the buffer size).
-  Msg decoded = decode(wire);
-  WordBuffer reencoded;
-  decoded.Encode(&reencoded);
-  if (span_wire_) {
-    const int64_t span_id = spans_ != nullptr ? spans_->CurrentId() : 0;
-    wire.PutCount(span_id);
-    reencoded.PutCount(span_id);
-  }
-  FGM_CHECK(wire.SameBits(reencoded));
-  return decoded;
-}
-
-template <typename Msg, typename DecodeFn>
-Msg EventNetwork::Rpc(int from, int to, MsgKind kind, const Msg& msg,
-                      int64_t charged_words, DecodeFn decode) {
-  const Route route = Resolve(from, to);
-  const int site = route.child;
-  const int dir = route.dir;
+void EventNetwork::Carry(int site, int dir, MsgKind kind,
+                         int64_t wire_words) {
   // The protocols never address a down endpoint over the control plane;
-  // the pause/resync machinery (core/fgm_protocol.cc, src/hier)
-  // guarantees it.
+  // the pause/resync machinery (core/fgm_protocol.cc) guarantees it.
   FGM_CHECK(SiteUp(site));
   int64_t rpc_span = 0;
   if (spans_ != nullptr) {
-    // Opened before the round trip so the wire envelope (span_wire)
-    // carries this RPC's id; one kMsg child per attempt follows.
+    // One kMsg child per attempt follows.
     rpc_span = spans_->Begin(SpanKind::kRpc, site, 0, 0, MsgKindName(kind));
-    if (network_.tier() != 0) spans_->SetTier(rpc_span, network_.tier());
+    if (tier() != 0) spans_->SetTier(rpc_span, tier());
   }
-  Msg decoded = CheckedRoundTrip(msg, charged_words, decode);
-  const int64_t wire_words = charged_words + SpanWireExtra();
   int64_t total_words = 0;
   for (int attempt = 0;; ++attempt) {
     FGM_CHECK_LT(attempt, kMaxRpcAttempts);
-    Charge(route, kind, wire_words);
+    Book(site, dir, kind, wire_words);
     total_words += wire_words;
     SiteNetStats& ss = site_stats_[static_cast<size_t>(site)];
     if (attempt > 0) {
@@ -176,8 +122,8 @@ Msg EventNetwork::Rpc(int from, int to, MsgKind kind, const Msg& msg,
       net_stats_.dropped_words += wire_words;
       ++ss.dropped_msgs;
       ss.dropped_words += wire_words;
-      EmitNetEvent(TraceEventKind::kMsgDropped, route, kind,
-                   wire_words, now_, "loss");
+      EmitNetEvent(TraceEventKind::kMsgDropped, site, dir, kind, wire_words,
+                   now_, "loss");
       if (spans_ != nullptr) {
         // The lost attempt occupies the sender until its timeout fires.
         Span s;
@@ -188,7 +134,7 @@ Msg EventNetwork::Rpc(int from, int to, MsgKind kind, const Msg& msg,
         s.words = wire_words;
         s.count = 1;
         s.dir = dir;
-        s.tier = network_.tier();
+        s.tier = tier();
         s.label = MsgKindName(kind);
         s.reason = "loss";
         spans_->EmitComplete(s);
@@ -206,8 +152,8 @@ Msg EventNetwork::Rpc(int from, int to, MsgKind kind, const Msg& msg,
     ss.delivered_words += wire_words;
     ss.latency_ticks += delay;
     ++ss.latency_samples;
-    EmitNetEvent(TraceEventKind::kMsgDelivered, route, kind,
-                 wire_words, now_, nullptr);
+    EmitNetEvent(TraceEventKind::kMsgDelivered, site, dir, kind, wire_words,
+                 now_, nullptr);
     if (spans_ != nullptr) {
       Span s;
       s.kind = SpanKind::kMsg;
@@ -217,98 +163,30 @@ Msg EventNetwork::Rpc(int from, int to, MsgKind kind, const Msg& msg,
       s.words = wire_words;
       s.count = 1;
       s.dir = dir;
-      s.tier = network_.tier();
+      s.tier = tier();
       s.transit = delay;
       s.label = MsgKindName(kind);
       spans_->EmitComplete(s);
       spans_->EndWithStats(rpc_span, nullptr, total_words, attempt + 1);
     }
-    return decoded;
+    return;
   }
 }
 
-SafeZoneMsg EventNetwork::ShipSafeZone(int site, SafeZoneMsg msg) {
-  const size_t dim = msg.reference.dim();
-  return Rpc(kParent, site, MsgKind::kSafeZone, msg, msg.Words(),
-             [dim](const WordBuffer& in) {
-               return SafeZoneMsg::Decode(in, dim);
-             });
-}
-
-CheapZoneMsg EventNetwork::ShipCheapZone(int site, CheapZoneMsg msg) {
-  // Cheap bounds are safe-zone shipments in the cost breakdown.
-  return Rpc(kParent, site, MsgKind::kSafeZone, msg, CheapZoneMsg::kWords,
-             [](const WordBuffer& in) { return CheapZoneMsg::Decode(in); });
-}
-
-QuantumMsg EventNetwork::ShipQuantum(int site, QuantumMsg msg) {
-  return Rpc(kParent, site, MsgKind::kQuantum, msg, QuantumMsg::kWords,
-             [](const WordBuffer& in) { return QuantumMsg::Decode(in); });
-}
-
-LambdaMsg EventNetwork::ShipLambda(int site, LambdaMsg msg) {
-  return Rpc(kParent, site, MsgKind::kLambda, msg, LambdaMsg::kWords,
-             [](const WordBuffer& in) { return LambdaMsg::Decode(in); });
-}
-
-ControlMsg EventNetwork::ShipControl(int site, ControlMsg msg) {
-  return Rpc(kParent, site, MsgKind::kControl, msg, ControlMsg::kWords,
-             [](const WordBuffer& in) { return ControlMsg::Decode(in); });
-}
-
-ResyncMsg EventNetwork::ShipResync(int site, ResyncMsg msg) {
-  const size_t dim = msg.reference.dim();
-  return Rpc(kParent, site, MsgKind::kResync, msg, msg.Words(),
-             [dim](const WordBuffer& in) {
-               return ResyncMsg::Decode(in, dim);
-             });
-}
-
-ControlMsg EventNetwork::SendControl(int site, ControlMsg msg) {
-  return Rpc(site, kParent, MsgKind::kControl, msg, ControlMsg::kWords,
-             [](const WordBuffer& in) { return ControlMsg::Decode(in); });
-}
-
-CounterMsg EventNetwork::SendCounter(int site, CounterMsg msg) {
-  return Rpc(site, kParent, MsgKind::kCounter, msg, CounterMsg::kWords,
-             [](const WordBuffer& in) { return CounterMsg::Decode(in); });
-}
-
-PhiValueMsg EventNetwork::SendPhiValue(int site, PhiValueMsg msg) {
-  return Rpc(site, kParent, MsgKind::kPhiValue, msg, PhiValueMsg::kWords,
-             [](const WordBuffer& in) { return PhiValueMsg::Decode(in); });
-}
-
-DriftFlushMsg EventNetwork::SendDriftFlush(int site, DriftFlushMsg msg) {
-  return Rpc(site, kParent, MsgKind::kDriftFlush, msg, msg.Words(),
-             [](const WordBuffer& in) { return DriftFlushMsg::Decode(in); });
-}
-
-RawUpdateMsg EventNetwork::SendRawUpdate(int site, RawUpdateMsg msg) {
-  return Rpc(site, kParent, MsgKind::kRawUpdate, msg, msg.Words(),
-             [](const WordBuffer& in) {
-               return RawUpdateMsg::Decode(in, 0);
-             });
-}
-
-void EventNetwork::PostCounter(int from, int to, CounterMsg msg, int64_t round,
+void EventNetwork::PostCounter(int site, CounterMsg msg, int64_t round,
                                int64_t subround) {
-  const Route route = Resolve(from, to);
-  const int site = route.child;
   FGM_CHECK(SiteUp(site));
-  const CounterMsg decoded = CheckedRoundTrip(
-      msg, CounterMsg::kWords,
-      [](const WordBuffer& in) { return CounterMsg::Decode(in); });
-  const int64_t wire_words = CounterMsg::kWords + SpanWireExtra();
-  Charge(route, MsgKind::kCounter, wire_words);
+  const CounterMsg decoded = RoundTrip(msg);
+  const int64_t wire_words = msg.Words() + SpanWireExtra();
+  Book(site, /*dir=*/-1, CounterMsg::kKind, wire_words);
   if (SampleDrop()) {
     ++net_stats_.dropped_msgs;
     net_stats_.dropped_words += wire_words;
     SiteNetStats& ss = site_stats_[static_cast<size_t>(site)];
     ++ss.dropped_msgs;
     ss.dropped_words += wire_words;
-    EmitNetEvent(TraceEventKind::kMsgDropped, route, MsgKind::kCounter,
-                 wire_words, now_, "loss");
+    EmitNetEvent(TraceEventKind::kMsgDropped, site, /*dir=*/-1,
+                 MsgKind::kCounter, wire_words, now_, "loss");
     if (spans_ != nullptr) {
       // Charged but never delivered: a point span keeps the word sums
       // conserved against MsgSent.
@@ -321,8 +199,8 @@ void EventNetwork::PostCounter(int from, int to, CounterMsg msg, int64_t round,
       s.begin = now_;
       s.words = wire_words;
       s.count = 1;
-      s.dir = route.dir;
-      s.tier = network_.tier();
+      s.dir = -1;
+      s.tier = tier();
       s.label = MsgKindName(MsgKind::kCounter);
       s.reason = "loss";
       spans_->EmitComplete(s);
@@ -337,8 +215,6 @@ void EventNetwork::PostCounter(int from, int to, CounterMsg msg, int64_t round,
   env.due = now_ + delay;
   env.seq = next_seq_++;
   env.delivery.site = site;
-  env.delivery.from = from;
-  env.delivery.to = to;
   env.delivery.msg = decoded;
   env.delivery.round = round;
   env.delivery.subround = subround;
@@ -364,9 +240,8 @@ bool EventNetwork::PopCounter(CounterDelivery* out) {
   ss.delivered_words += wire_words;
   ss.latency_ticks += out->due - out->posted;
   ++ss.latency_samples;
-  const Route route{out->site, out->from == kParent ? +1 : -1};
-  EmitNetEvent(TraceEventKind::kMsgDelivered, route, MsgKind::kCounter,
-               wire_words, out->due, nullptr);
+  EmitNetEvent(TraceEventKind::kMsgDelivered, out->site, /*dir=*/-1,
+               MsgKind::kCounter, wire_words, out->due, nullptr);
   if (spans_ != nullptr) {
     // post → due is wire time; due → drain is how long the datagram sat
     // waiting for the protocol to reach a safe drain point.
@@ -380,8 +255,8 @@ bool EventNetwork::PopCounter(CounterDelivery* out) {
     s.end = now_;
     s.words = wire_words;
     s.count = 1;
-    s.dir = route.dir;
-    s.tier = network_.tier();
+    s.dir = -1;
+    s.tier = tier();
     s.transit = out->due - out->posted;
     s.drain = now_ - out->due;
     s.label = MsgKindName(MsgKind::kCounter);
@@ -431,6 +306,18 @@ void EventNetwork::FinishRun() {
     if (last > now_) Advance(last - now_);
   }
   net_stats_.final_tick = now_;
+}
+
+std::unique_ptr<Transport> MakeTransport(TransportMode mode, int sites,
+                                         const NetSimConfig& net,
+                                         EventNetwork** sim) {
+  if (!net.enabled()) {
+    *sim = nullptr;
+    return std::make_unique<Transport>(sites, mode);
+  }
+  auto event_network = std::make_unique<EventNetwork>(sites, net);
+  *sim = event_network.get();
+  return event_network;
 }
 
 }  // namespace sim

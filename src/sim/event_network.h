@@ -1,26 +1,22 @@
-// Discrete-event network simulator behind the Transport interface.
+// Discrete-event network simulator behind the Transport link hook.
 //
 // EventNetwork carries the *real* serialized wire messages of
 // net/wire.h over simulated links with per-link latency distributions,
 // bandwidth caps, reordering jitter, probabilistic drop and scheduled
-// endpoint outages — every message is encoded, size-checked against the
-// charged word count, decoded and bit-verified exactly like the strict
-// SerializingTransport, then delayed (and possibly lost) before
-// delivery.
+// endpoint outages. It is a strict Transport: every message takes the
+// shared encode → size-check → decode → bit-verify round trip of
+// net/transport.h, and only the link hook (Carry) differs — the message
+// is delayed, and possibly lost, before delivery.
 //
-// Addressing is by general (from, to) endpoint ids, with one structural
-// constraint: each EventNetwork instance models the links between one
-// parent (endpoint id kParent) and its child endpoints, i.e. one star.
-// The flat protocols run a single star whose children are the k sites;
-// tree topologies (src/hier) route along tree edges by running their
-// faulty tier's links through an EventNetwork whose child endpoints are
-// that tier's aggregators. The Transport overrides are the flat
-// two-endpoint fast path: Ship* = (kParent, site), Send*/PostCounter =
-// (site, kParent); both resolve through the same (from, to) router.
+// Like every Transport it models one star: a parent and its child
+// endpoints, addressed by (site, direction). The flat protocols run a
+// single star whose children are the k sites; a tree topology (src/hier)
+// runs its root tier over an EventNetwork and its lower tiers over
+// synchronous transports.
 //
 // Two delivery disciplines:
 //
-//  * RPC (all Ship* / Send* calls): the caller blocks while the simulated
+//  * RPC (every Ship / Send): the caller blocks while the simulated
 //    clock advances by the sampled delay; a lost message is detected by
 //    timeout and retransmitted (each attempt is charged — retransmissions
 //    are real words on the wire). This models the request/response
@@ -47,6 +43,7 @@
 #define FGM_SIM_EVENT_NETWORK_H_
 
 #include <cstdint>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -56,15 +53,9 @@
 
 namespace fgm {
 
-class TraceSink;
 enum class TraceEventKind : int;
 
 namespace sim {
-
-/// The parent endpoint id in (from, to) addressing: the hub every child
-/// endpoint of a star talks to (the coordinator in a flat run; the
-/// tier's parent node in a tree topology).
-inline constexpr int kParent = -1;
 
 /// Aggregate counters for a simulated run. Message/word counts obey
 /// conservation per direction: sent = delivered + dropped (the replay
@@ -104,9 +95,7 @@ struct SiteNetStats {
 
 /// A counter datagram handed to the protocol at its due tick.
 struct CounterDelivery {
-  int site = 0;       ///< child endpoint id of the carrying link
-  int from = 0;       ///< sending endpoint (kParent = the hub)
-  int to = kParent;   ///< receiving endpoint
+  int site = 0;       ///< the sending child endpoint
   CounterMsg msg{0};
   int64_t round = 0;     ///< epoch the datagram was sent in
   int64_t subround = 0;
@@ -126,37 +115,16 @@ class EventNetwork final : public Transport {
   EventNetwork(int sites, const NetSimConfig& config);
 
   const char* name() const override { return "event-sim"; }
-  void set_trace(TraceSink* trace) override;
-  /// Registers the span sink and rebases it onto the simulated clock.
-  /// Does NOT forward to the inner SimNetwork: the event network emits
-  /// its own latency-stamped kRpc / kMsg / kDatagram spans per attempt,
-  /// so the point spans SimNetwork would add per charge must stay off.
+  /// Registers the span sink and rebases it onto the simulated clock. The
+  /// event network emits latency-stamped kRpc / kMsg / kDatagram spans
+  /// per attempt instead of the synchronous link's point spans.
   void set_spans(SpanSink* spans) override;
 
-  // Transport interface — blocking RPCs over the simulated links.
-  SafeZoneMsg ShipSafeZone(int site, SafeZoneMsg msg) override;
-  CheapZoneMsg ShipCheapZone(int site, CheapZoneMsg msg) override;
-  QuantumMsg ShipQuantum(int site, QuantumMsg msg) override;
-  LambdaMsg ShipLambda(int site, LambdaMsg msg) override;
-  ControlMsg ShipControl(int site, ControlMsg msg) override;
-  ResyncMsg ShipResync(int site, ResyncMsg msg) override;
-  ControlMsg SendControl(int site, ControlMsg msg) override;
-  CounterMsg SendCounter(int site, CounterMsg msg) override;
-  PhiValueMsg SendPhiValue(int site, PhiValueMsg msg) override;
-  DriftFlushMsg SendDriftFlush(int site, DriftFlushMsg msg) override;
-  RawUpdateMsg SendRawUpdate(int site, RawUpdateMsg msg) override;
-
-  /// Fire-and-forget counter datagram between endpoints (from, to), one
-  /// of which must be kParent. Charges one word, samples loss and delay,
-  /// and queues the delivery. The sending child endpoint must be up.
-  void PostCounter(int from, int to, CounterMsg msg, int64_t round,
-                   int64_t subround);
-
-  /// Flat fast path: (site, kParent), i.e. site → coordinator.
+  /// Fire-and-forget counter datagram from child `site` to the parent.
+  /// Charges one word, samples loss and delay, and queues the delivery.
+  /// The sending site must be up.
   void PostCounter(int site, CounterMsg msg, int64_t round,
-                   int64_t subround) {
-    PostCounter(site, kParent, msg, round, subround);
-  }
+                   int64_t subround);
 
   /// Pops the next datagram whose due tick has been reached, in
   /// (due, send order) — jitter beyond the base latency produces genuine
@@ -192,6 +160,11 @@ class EventNetwork final : public Transport {
   void NoteStale() { ++net_stats_.stale_msgs; }
 
  private:
+  /// The RPC link: the caller blocks while the simulated clock advances by
+  /// the sampled delay; each lost attempt is charged, times out and is
+  /// resent.
+  void Carry(int site, int dir, MsgKind kind, int64_t words) override;
+
   struct Envelope {
     int64_t due = 0;
     int64_t seq = 0;
@@ -204,34 +177,10 @@ class EventNetwork final : public Transport {
     }
   };
 
-  /// A resolved (from, to) endpoint pair: the child whose link carries
-  /// the message, and the direction (+1 parent → child, -1 child →
-  /// parent).
-  struct Route {
-    int child;
-    int dir;
-  };
-  /// Resolves general (from, to) addressing against this star: exactly
-  /// one endpoint must be kParent, the other a valid child id.
-  Route Resolve(int from, int to) const;
-
-  /// Strict encode → size-check → charge → decode → bit-verify, plus the
-  /// simulated delay and drop/retransmit loop, between endpoints
-  /// (from, to).
-  template <typename Msg, typename DecodeFn>
-  Msg Rpc(int from, int to, MsgKind kind, const Msg& msg,
-          int64_t charged_words, DecodeFn decode);
-
-  /// Encode/verify without network semantics (shared by Rpc/PostCounter).
-  template <typename Msg, typename DecodeFn>
-  Msg CheckedRoundTrip(const Msg& msg, int64_t charged_words,
-                       DecodeFn decode);
-
-  void Charge(Route route, MsgKind kind, int64_t words);
   bool SampleDrop();
   int64_t SampleLatency();
   int64_t TransferTicks(int64_t words) const;
-  void EmitNetEvent(TraceEventKind kind, Route route, MsgKind msg_kind,
+  void EmitNetEvent(TraceEventKind kind, int site, int dir, MsgKind msg_kind,
                     int64_t words, int64_t t, const char* reason);
 
   NetSimConfig config_;
@@ -245,10 +194,16 @@ class EventNetwork final : public Transport {
   size_t next_transition_ = 0;
   std::priority_queue<Envelope, std::vector<Envelope>, EnvelopeLater>
       queue_;
-  TraceSink* trace_ = nullptr;
   SimNetStats net_stats_;
   std::vector<SiteNetStats> site_stats_;
 };
+
+/// Builds the transport of one star: an EventNetwork when `net` is
+/// enabled, else the synchronous Transport for `mode`. `*sim` receives
+/// the event-network view, or nullptr for a synchronous transport.
+std::unique_ptr<Transport> MakeTransport(TransportMode mode, int sites,
+                                         const NetSimConfig& net,
+                                         EventNetwork** sim);
 
 }  // namespace sim
 }  // namespace fgm

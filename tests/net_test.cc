@@ -1,17 +1,22 @@
-// Tests for the simulated network's traffic accounting.
+// Tests for the transport's traffic accounting.
 
 #include <gtest/gtest.h>
 
 #include "net/network.h"
+#include "net/transport.h"
+#include "net/wire.h"
 
 namespace fgm {
 namespace {
 
-TEST(SimNetwork, DirectionsAndTotals) {
-  SimNetwork net(3);
-  net.Downstream(0, MsgKind::kCounter, 1);
-  net.Downstream(1, MsgKind::kDriftFlush, 100);
-  net.Upstream(2, MsgKind::kSafeZone, 500);
+TEST(Transport, DirectionsAndTotals) {
+  Transport net(3, TransportMode::kAuto);
+  net.Send(0, CounterMsg{1});
+  DriftFlushMsg flush;
+  flush.update_count = 99;
+  flush.drift = RealVector(99);
+  net.Send(1, flush);  // 1 + 99 words
+  net.Ship(2, SafeZoneMsg{RealVector(500)});
   const TrafficStats& s = net.stats();
   EXPECT_EQ(s.downstream_words, 101);
   EXPECT_EQ(s.upstream_words, 500);
@@ -22,31 +27,21 @@ TEST(SimNetwork, DirectionsAndTotals) {
   EXPECT_NEAR(s.upstream_fraction(), 500.0 / 601.0, 1e-12);
 }
 
-TEST(SimNetwork, BroadcastChargesEverySiteSeparately) {
-  // The paper's model has no multicast: shipping θ to k sites costs k
-  // one-word messages.
-  SimNetwork net(5);
-  net.Broadcast(MsgKind::kQuantum, 1);
-  EXPECT_EQ(net.stats().upstream_words, 5);
-  EXPECT_EQ(net.stats().upstream_messages, 5);
-}
-
-TEST(SimNetwork, WordsByKindBreakdown) {
-  SimNetwork net(2);
-  net.Upstream(0, MsgKind::kSafeZone, 10);
-  net.Upstream(1, MsgKind::kSafeZone, 10);
-  net.Downstream(0, MsgKind::kPhiValue, 1);
+TEST(Transport, WordsByKindBreakdown) {
+  Transport net(2, TransportMode::kAuto);
+  net.Ship(0, SafeZoneMsg{RealVector(10)});
+  net.Ship(1, SafeZoneMsg{RealVector(10)});
+  net.Send(0, PhiValueMsg{0.5});
   const TrafficStats& s = net.stats();
   EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kSafeZone)], 20);
   EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kPhiValue)], 1);
   EXPECT_EQ(s.words_by_kind[static_cast<size_t>(MsgKind::kCounter)], 0);
 }
 
-TEST(SimNetwork, ZeroTrafficFractionIsZero) {
-  SimNetwork net(1);
+TEST(Transport, ZeroTrafficFractionIsZero) {
+  Transport net(1, TransportMode::kAuto);
   EXPECT_DOUBLE_EQ(net.stats().upstream_fraction(), 0.0);
 }
-
 TEST(MsgKindNames, AllDistinct) {
   for (int a = 0; a < static_cast<int>(MsgKind::kKindCount); ++a) {
     for (int b = a + 1; b < static_cast<int>(MsgKind::kKindCount); ++b) {

@@ -1,11 +1,13 @@
-// Transport-layer tests: unit round trips through the serializing
-// transport, and the headline parity property — a full protocol run
+// Transport-layer tests: every wire struct through every transport, and
+// the headline parity property — a full protocol run
 // charges bit-identical traffic and produces bit-identical estimates
 // whether messages are merely counted or actually encoded, size-checked,
 // decoded and delivered (strict wire accounting).
 
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "gm/gm_protocol.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "sim/event_network.h"
 #include "stream/window.h"
 #include "stream/worldcup.h"
 
@@ -64,101 +67,166 @@ void ExpectSameTraffic(const TrafficStats& counting,
 }
 
 // ---------------------------------------------------------------------
-// Unit round trips: each typed send charges exactly the encoded size and
-// delivers an identical message.
+// Every wire struct through every transport: the counting and serializing
+// transports and a null-mode event network each charge exactly Words()
+// (the encoded size) to the struct's cost class in the direction sent,
+// plus exactly one word for the span-id envelope, and deliver the message
+// that was sent.
 
-TEST(SerializingTransport, ChargesExactlyTheEncodedWords) {
-  auto transport = MakeTransport(TransportMode::kSerializing, 4);
-  EXPECT_STREQ(transport->name(), "serializing");
+std::vector<std::unique_ptr<Transport>> AllTransports(int sites) {
+  std::vector<std::unique_ptr<Transport>> all;
+  all.push_back(std::make_unique<Transport>(sites, TransportMode::kCounting));
+  all.push_back(
+      std::make_unique<Transport>(sites, TransportMode::kSerializing));
+  sim::NetSimConfig net;
+  net.latency = "0";
+  auto event_network = std::make_unique<sim::EventNetwork>(sites, net);
+  EXPECT_TRUE(event_network->null_mode());
+  all.push_back(std::move(event_network));
+  return all;
+}
 
+/// The cost class a struct must be charged to, and sample messages that
+/// exercise its encoding.
+template <typename Msg>
+struct WireCase {
+  MsgKind kind;
+  std::vector<Msg> samples;
+};
+
+template <typename Msg>
+WireCase<Msg> Case();
+
+template <>
+WireCase<QuantumMsg> Case() {
+  return {MsgKind::kQuantum, {QuantumMsg{0.25}}};
+}
+template <>
+WireCase<LambdaMsg> Case() {
+  return {MsgKind::kLambda, {LambdaMsg{0.5}}};
+}
+template <>
+WireCase<CounterMsg> Case() {
+  // Above 2^53: counts must cross bit-cast, not value-cast.
+  return {MsgKind::kCounter, {CounterMsg{(int64_t{1} << 53) + 7}}};
+}
+template <>
+WireCase<PhiValueMsg> Case() {
+  return {MsgKind::kPhiValue, {PhiValueMsg{-0.75}}};
+}
+template <>
+WireCase<ControlMsg> Case() {
+  return {MsgKind::kControl,
+          {ControlMsg{ControlOp::kPollPhi}, ControlMsg{ControlOp::kViolation},
+           ControlMsg{ControlOp::kPollCounter}}};
+}
+template <>
+WireCase<SafeZoneMsg> Case() {
   RealVector e(10);
   e[3] = 2.5;
-  const SafeZoneMsg zone = transport->ShipSafeZone(0, SafeZoneMsg{e});
-  EXPECT_DOUBLE_EQ(zone.reference[3], 2.5);
-  EXPECT_EQ(transport->stats().upstream_words, 10);
-
-  const CheapZoneMsg cheap =
-      transport->ShipCheapZone(1, CheapZoneMsg{1.5, 1.0, -4.0});
-  EXPECT_DOUBLE_EQ(cheap.offset, -4.0);
-  EXPECT_EQ(transport->stats().upstream_words, 13);
-  EXPECT_EQ(transport->stats()
-                .words_by_kind[static_cast<size_t>(MsgKind::kSafeZone)],
-            13);
-
-  EXPECT_DOUBLE_EQ(transport->ShipQuantum(2, QuantumMsg{0.25}).theta, 0.25);
-  EXPECT_DOUBLE_EQ(transport->ShipLambda(3, LambdaMsg{0.5}).lambda, 0.5);
-  EXPECT_EQ(transport->ShipControl(0, ControlMsg{ControlOp::kPollPhi}).op,
-            ControlOp::kPollPhi);
-  EXPECT_EQ(transport->SendControl(0, ControlMsg{ControlOp::kViolation}).op,
-            ControlOp::kViolation);
-  const int64_t big = (int64_t{1} << 53) + 7;
-  EXPECT_EQ(transport->SendCounter(1, CounterMsg{big}).increment, big);
-  EXPECT_DOUBLE_EQ(transport->SendPhiValue(2, PhiValueMsg{-0.75}).value,
-                   -0.75);
-  EXPECT_EQ(transport->stats().upstream_words, 16);
-  EXPECT_EQ(transport->stats().downstream_words, 3);
-
-  RawUpdateMsg raw;
-  raw.key = uint64_t{1} << 63;  // 2-word key
-  const RawUpdateMsg raw_delivered = transport->SendRawUpdate(0, raw);
-  EXPECT_EQ(raw_delivered.key, uint64_t{1} << 63);
-  EXPECT_EQ(transport->stats()
-                .words_by_kind[static_cast<size_t>(MsgKind::kRawUpdate)],
-            2);
+  return {MsgKind::kSafeZone, {SafeZoneMsg{e}}};
 }
-
-TEST(SerializingTransport, DriftFlushDeliversWhatWasEncoded) {
-  auto transport = MakeTransport(TransportMode::kSerializing, 2);
-
-  // Dense: the drift crosses the wire.
+template <>
+WireCase<ResyncMsg> Case() {
+  ResyncMsg msg;
+  msg.reference = RealVector{1.0, -2.0, 0.5};
+  msg.theta = -0.125;
+  msg.lambda = 0.75;
+  msg.round = 12;
+  msg.subround = 3;
+  return {MsgKind::kResync, {msg}};
+}
+template <>
+WireCase<CheapZoneMsg> Case() {
+  // Cheap bounds are safe-zone shipments in the cost breakdown.
+  return {MsgKind::kSafeZone, {CheapZoneMsg{1.5, 1.0, -4.0}}};
+}
+template <>
+WireCase<RawUpdateMsg> Case() {
+  RawUpdateMsg small;
+  small.key = 42;
+  small.is_delete = true;
+  RawUpdateMsg wide;
+  wide.key = uint64_t{1} << 63;  // spills into a second word
+  return {MsgKind::kRawUpdate, {small, wide}};
+}
+template <>
+WireCase<DriftFlushMsg> Case() {
   DriftFlushMsg dense;
   dense.update_count = 9;
-  dense.dense = true;
   dense.drift = RealVector{1.0, -2.0, 0.5};
-  const DriftFlushMsg dense_got = transport->SendDriftFlush(0, dense);
-  EXPECT_TRUE(dense_got.dense);
-  EXPECT_EQ(dense_got.drift.dim(), 3u);
-  EXPECT_DOUBLE_EQ(dense_got.drift[1], -2.0);
-  EXPECT_EQ(transport->stats()
-                .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
-            4);
-
-  // Verbatim: only the raw updates cross; the sender-local dense copy
-  // must NOT leak through the wire.
   DriftFlushMsg verbatim;
-  verbatim.update_count = 1;
+  verbatim.update_count = 2;
   verbatim.dense = false;
   verbatim.drift = RealVector{1.0, -2.0, 0.5};  // sender-local only
-  RawUpdateMsg u;
-  u.key = 42;
-  verbatim.raw = {u};
-  const DriftFlushMsg verbatim_got = transport->SendDriftFlush(1, verbatim);
-  EXPECT_FALSE(verbatim_got.dense);
-  EXPECT_EQ(verbatim_got.drift.dim(), 0u);
-  ASSERT_EQ(verbatim_got.raw.size(), 1u);
-  EXPECT_EQ(verbatim_got.raw[0].key, 42u);
-  EXPECT_EQ(transport->stats()
-                .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
-            4 + 2);
+  verbatim.raw = Case<RawUpdateMsg>().samples;
+  return {MsgKind::kDriftFlush, {dense, verbatim}};
 }
 
-TEST(Transport, CountingModeDeliversUnchanged) {
-  auto transport = MakeTransport(TransportMode::kCounting, 2);
-  EXPECT_STREQ(transport->name(), "counting");
-  DriftFlushMsg verbatim;
-  verbatim.update_count = 1;
-  verbatim.dense = false;
-  verbatim.drift = RealVector{7.0};
-  RawUpdateMsg u;
-  u.key = 3;
-  verbatim.raw = {u};
-  // The fast path hands the message through as-is (the local drift stays
-  // available), but charges the same wire words as strict mode.
-  const DriftFlushMsg got = transport->SendDriftFlush(0, verbatim);
-  EXPECT_EQ(got.drift.dim(), 1u);
-  EXPECT_EQ(transport->stats()
-                .words_by_kind[static_cast<size_t>(MsgKind::kDriftFlush)],
-            2);
+template <typename Msg>
+WordBuffer Encoded(const Msg& msg) {
+  WordBuffer wire;
+  msg.Encode(&wire);
+  return wire;
+}
+
+template <typename Msg>
+class WireMessages : public ::testing::Test {};
+
+using AllWireMessages =
+    ::testing::Types<QuantumMsg, LambdaMsg, CounterMsg, PhiValueMsg,
+                     ControlMsg, SafeZoneMsg, ResyncMsg, CheapZoneMsg,
+                     RawUpdateMsg, DriftFlushMsg>;
+TYPED_TEST_SUITE(WireMessages, AllWireMessages);
+
+TYPED_TEST(WireMessages, EveryTransportChargesWordsAndDeliversTheMessage) {
+  using Msg = TypeParam;
+  const WireCase<Msg> wire_case = Case<Msg>();
+  EXPECT_EQ(Msg::kKind, wire_case.kind);
+  for (const Msg& msg : wire_case.samples) {
+    const WordBuffer sent = Encoded(msg);
+    EXPECT_EQ(msg.Words(), static_cast<int64_t>(sent.size_words()));
+    for (const bool span_wire : {false, true}) {
+      for (const auto& transport : AllTransports(2)) {
+        SCOPED_TRACE(std::string(transport->name()) +
+                     (span_wire ? " +span_wire" : ""));
+        transport->set_span_wire(span_wire);
+        const Msg shipped = transport->Ship(1, msg);
+        const Msg returned = transport->Send(0, msg);
+        EXPECT_TRUE(Encoded(shipped).SameBits(sent));
+        EXPECT_TRUE(Encoded(returned).SameBits(sent));
+
+        const int64_t words = msg.Words() + (span_wire ? 1 : 0);
+        const TrafficStats& stats = transport->stats();
+        EXPECT_EQ(stats.upstream_words, words);
+        EXPECT_EQ(stats.downstream_words, words);
+        EXPECT_EQ(stats.upstream_messages, 1);
+        EXPECT_EQ(stats.downstream_messages, 1);
+        for (size_t k = 0; k < stats.words_by_kind.size(); ++k) {
+          const bool charged = static_cast<MsgKind>(k) == wire_case.kind;
+          EXPECT_EQ(stats.words_by_kind[k], charged ? 2 * words : 0)
+              << MsgKindName(static_cast<MsgKind>(k));
+        }
+      }
+    }
+  }
+}
+
+TEST(DriftFlush, StrictPathDeliversOnlyWhatWasEncoded) {
+  // A verbatim flush carries only the raw updates: the strict path must
+  // not leak the sender-local dense drift, while the counting path hands
+  // the message through as-is (the local drift stays available).
+  const DriftFlushMsg verbatim = Case<DriftFlushMsg>().samples[1];
+  ASSERT_FALSE(verbatim.dense);
+  for (const auto& transport : AllTransports(1)) {
+    SCOPED_TRACE(transport->name());
+    const DriftFlushMsg got = transport->Send(0, verbatim);
+    EXPECT_FALSE(got.dense);
+    ASSERT_EQ(got.raw.size(), 2u);
+    EXPECT_EQ(got.raw[1].key, uint64_t{1} << 63);
+    const bool counting = std::string(transport->name()) == "counting";
+    EXPECT_EQ(got.drift.dim(), counting ? 3u : 0u);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -269,24 +337,14 @@ TEST(CentralParity, CountingAndSerializingRunsAreBitIdentical) {
 // never be silently coerced into a plausible value: every decoder aborts
 // through FGM_CHECK on the first inconsistent word.
 
-TEST(WireDecodeDeath, TruncatedSafeZonePayload) {
-  WordBuffer wire;
-  SafeZoneMsg{RealVector{1.0, 2.0, 3.0}}.Encode(&wire);
-  // The receiver expects the query dimension; a 3-word payload for a
-  // 5-dim zone is a truncated message.
-  EXPECT_DEATH(SafeZoneMsg::Decode(wire, 5), "FGM_CHECK failed");
-}
-
 TEST(WireDecodeDeath, TruncatedResyncPayload) {
-  ResyncMsg msg;
-  msg.reference = RealVector{1.0, 2.0};
-  msg.theta = -0.5;
-  msg.lambda = 1.0;
-  msg.round = 3;
-  msg.subround = 1;
+  // A resync message ends in four fixed words (θ, λ, round, subround); a
+  // shorter buffer cannot hold them.
   WordBuffer wire;
-  msg.Encode(&wire);  // 2 + 4 words
-  EXPECT_DEATH(ResyncMsg::Decode(wire, 4), "FGM_CHECK failed");
+  wire.PutReal(-0.5);
+  wire.PutReal(1.0);
+  wire.PutCount(3);
+  EXPECT_DEATH(ResyncMsg::Decode(wire), "FGM_CHECK failed");
 }
 
 TEST(WireDecodeDeath, CorruptedControlOpByte) {
@@ -327,7 +385,7 @@ TEST(WireDecodeDeath, NonCanonicalRawUpdateExtensionWord) {
   WordBuffer wire;
   wire.PutBits(uint64_t{2});  // flags: extended=1, delete=0, key=0
   wire.PutBits(uint64_t{0});
-  EXPECT_DEATH(RawUpdateMsg::Decode(wire, 0), "FGM_CHECK failed");
+  EXPECT_DEATH(RawUpdateMsg::Decode(wire), "FGM_CHECK failed");
 }
 
 // ---------------------------------------------------------------------

@@ -55,7 +55,7 @@ TEST(SafeZoneMsg, CostsExactlyD) {
   msg.Encode(&buf);
   EXPECT_EQ(static_cast<int64_t>(buf.size_words()), msg.Words());
   EXPECT_EQ(msg.Words(), 100);
-  const SafeZoneMsg decoded = SafeZoneMsg::Decode(buf, 100);
+  const SafeZoneMsg decoded = SafeZoneMsg::Decode(buf);
   EXPECT_DOUBLE_EQ(Distance(decoded.reference, e), 0.0);
 }
 
