@@ -74,6 +74,8 @@ FgmProtocol::FgmProtocol(const ContinuousQuery* query,
 
   round_drift_.reserve(static_cast<size_t>(m_));
   for (int j = 0; j < m_; ++j) round_drift_.emplace_back(query->dimension());
+  round_drift_norm_.assign(static_cast<size_t>(m_), 0.0);
+  touched_scratch_ = RealVector(query->dimension());
   subtree_updates_.assign(static_cast<size_t>(m_), 0);
   plan_.assign(static_cast<size_t>(m_), 1);
   child_ok_.assign(static_cast<size_t>(m_), 1);
@@ -706,7 +708,12 @@ void FgmProtocol::StartRound() {
   // (d_j = 0 puts the 3-word cheap bound on EVERY edge of subtree j — the
   // whole subtree shares the plan).
   for (int j = 0; j < m_; ++j) {
-    round_drift_[static_cast<size_t>(j)].SetZero();
+    // FlushChild books drift and updates together, so a child with no
+    // booked updates still holds the zero drift of the last reset.
+    if (subtree_updates_[static_cast<size_t>(j)] != 0) {
+      round_drift_[static_cast<size_t>(j)].SetZero();
+    }
+    round_drift_norm_[static_cast<size_t>(j)] = 0.0;
     subtree_updates_[static_cast<size_t>(j)] = 0;
     if (in_round_[static_cast<size_t>(j)] == 0) continue;
     const bool full = plan_[static_cast<size_t>(j)] != 0;
@@ -788,7 +795,7 @@ void FgmProtocol::EmitRoundObservability() {
     const int64_t u = ChildUpdatesInRound(j);
     updates_sum += u;
     s.site_updates_max = std::max(s.site_updates_max, u);
-    const double norm = round_drift_[static_cast<size_t>(j)].Norm();
+    const double norm = RoundDriftNorm(j);
     if (norm > s.drift_norm_max) {
       s.drift_norm_max = norm;
       s.hot_site = j;
@@ -813,8 +820,7 @@ void FgmProtocol::EmitRoundObservability() {
   // its stop level was computed from.
   health_->ObserveRound(s);
   for (int j = 0; j < m_; ++j) {
-    health_->ObserveSite(j, ChildUpdatesInRound(j),
-                         round_drift_[static_cast<size_t>(j)].Norm());
+    health_->ObserveSite(j, ChildUpdatesInRound(j), RoundDriftNorm(j));
   }
   if (sim_ != nullptr) {
     const std::vector<sim::SiteNetStats>& per_site = sim_->site_stats();
@@ -939,6 +945,12 @@ void FgmProtocol::PollAndAdvance(const char* reason) {
   }
 }
 
+double FgmProtocol::RoundDriftNorm(int j) {
+  double& norm = round_drift_norm_[static_cast<size_t>(j)];
+  if (norm < 0.0) norm = round_drift_[static_cast<size_t>(j)].Norm();
+  return norm;
+}
+
 bool FgmProtocol::CheapRoundOverBudget() const {
   if (!config_.optimizer || !config_.optimizer_feedback) return false;
   int64_t full_count = 0;
@@ -952,6 +964,14 @@ bool FgmProtocol::CheapRoundOverBudget() const {
       transports_[0]->stats().total_words() - round_start_words_);
   return spent > config_.feedback_budget_factor * full_round_words;
 }
+
+namespace {
+
+// Dense-add cells that cost about as much as re-mapping one raw update
+// (FlushChild's choice between the two ways of adding a verbatim flush).
+constexpr size_t kReprojectCells = 256;
+
+}  // namespace
 
 void FgmProtocol::FlushChild(int j, bool book_round) {
   transports_[0]->Ship(j, ControlMsg{ControlOp::kFlushRequest});
@@ -967,12 +987,42 @@ void FgmProtocol::FlushChild(int j, bool book_round) {
     trace_->Emit(e);
   }
   if (delivered.update_count > 0) {
-    const RealVector& drift =
-        DeliveredDrift(delivered, *query_, j, &flush_scratch_);
-    balance_ += drift;
+    RealVector& round_drift = round_drift_[static_cast<size_t>(j)];
     if (book_round) {
-      round_drift_[static_cast<size_t>(j)] += drift;
+      round_drift_norm_[static_cast<size_t>(j)] = -1.0;
       subtree_updates_[static_cast<size_t>(j)] += delivered.update_count;
+    }
+    // A verbatim flush without a carried drift must be re-projected, and
+    // one with only a few raw updates is cheaper to re-project than to
+    // add densely (twice over D cells): re-mapping one raw update costs
+    // about as much as kReprojectCells cells of those dense adds.
+    const bool reproject =
+        !delivered.dense &&
+        (delivered.drift.dim() == 0 ||
+         delivered.raw.size() * kReprojectCells < query_->dimension());
+    if (reproject) {
+      // Re-project the raw updates and add only the cells they touch.
+      // Every other cell of the delivered drift is +0.0, and adding +0.0
+      // is the identity here: B and the round drifts start at +0.0, and
+      // round-to-nearest addition yields −0.0 only from two −0.0
+      // operands, so neither ever holds −0.0. Each touched cell sums the
+      // same deltas in the same order as the dense reconstruction, so
+      // the result is bit-identical. Clearing the cell after its first
+      // visit makes repeated indices add +0.0.
+      touched_.clear();
+      ReprojectRawUpdates(*query_, j, delivered.raw, &touched_scratch_,
+                          &touched_);
+      for (size_t i : touched_) {
+        const double v = touched_scratch_[i];
+        balance_[i] += v;
+        if (book_round) round_drift[i] += v;
+        touched_scratch_[i] = 0.0;
+      }
+    } else {
+      const RealVector& drift =
+          DeliveredDrift(delivered, *query_, j, &flush_scratch_);
+      balance_ += drift;
+      if (book_round) round_drift += drift;
     }
     if (depth_ == 1) sites_[static_cast<size_t>(j)].FlushReset();
   }
@@ -994,14 +1044,18 @@ double FgmProtocol::FindMuStar() const {
   // {µ : g(µ) ≤ 0} = [µ*, ∞). Bisection on [lo, 1]. k is the LEAF count:
   // the balance vector is the total drift of live_leaves sites, and λ is
   // shipped to every leaf.
+  //
+  // B's nonzeros load once into an evaluator; each step then reads the
+  // perspective off its per-row primitives in O(d) instead of rescaling
+  // and re-evaluating B densely: g(µ) = ValueAtScale(µk)/(µk). The dense
+  // ψ_B evaluation in TryRebalance certifies the result.
   if (balance_.Norm() == 0.0) return 0.0;
+  const std::unique_ptr<DriftEvaluator> ray = safe_fn_->MakeEvaluator();
+  for (size_t i = 0; i < balance_.dim(); ++i) {
+    if (balance_[i] != 0.0) ray->ApplyDelta(i, balance_[i]);
+  }
   const double k = static_cast<double>(live_leaves_);
-  RealVector scaled(balance_.dim());
-  auto g = [&](double mu) {
-    scaled = balance_;
-    scaled *= 1.0 / (mu * k);
-    return safe_fn_->Eval(scaled);
-  };
+  auto g = [&](double mu) { return ray->ValueAtScale(mu * k) / (mu * k); };
   if (g(1.0) >= 0.0) return 1.0;
   double lo = 1e-6, hi = 1.0;
   if (g(lo) < 0.0) return 0.0;  // B/k direction never leaves the zone
@@ -1018,6 +1072,13 @@ double FgmProtocol::FindMuStar() const {
   }
   // Return the safe side (g(hi) ≤ 0 so ψ_B ≤ 0).
   return hi;
+}
+
+double FgmProtocol::BalancePsi(double mu) const {
+  const double scale = mu * static_cast<double>(live_leaves_);
+  RealVector scaled = balance_;
+  scaled *= 1.0 / scale;
+  return scale * safe_fn_->Eval(scaled);
 }
 
 void FgmProtocol::TryRebalance() {
@@ -1052,22 +1113,28 @@ void FgmProtocol::TryRebalance() {
     return;
   }
   FlushAllChildren();
-  const double kb = static_cast<double>(live_leaves_);
-  const double mu = FindMuStar();
+  double mu = FindMuStar();
+  // ψ_B = µkφ(B/(µk)) ≤ 0 by the bisection's choice of µ, certified by
+  // this one dense reference evaluation. The bisection read φ off the
+  // ray's per-row primitives, whose rounding differs from the dense path;
+  // should the two disagree at the boundary, µ steps to the safe side
+  // (g is monotone) until the reference certifies it. Stepping only
+  // raises µ, so a λ already below min_lambda skips the check.
+  double psi_b = 0.0;
+  if (mu > 0.0 && 1.0 - mu >= config_.min_lambda) {
+    psi_b = BalancePsi(mu);
+    for (double step = mu * 0x1p-40; psi_b > 0.0 && mu < 1.0; step *= 2.0) {
+      mu = std::min(1.0, mu + step);
+      psi_b = BalancePsi(mu);
+    }
+  }
   const double lambda = 1.0 - mu;
   if (lambda < config_.min_lambda) {
     EndRound(/*already_flushed=*/true);
     return;
   }
-  // ψ_B = µkφ(B/(µk)) ≤ 0 by the bisection's choice of µ.
-  if (mu > 0.0) {
-    RealVector scaled = balance_;
-    scaled *= 1.0 / (mu * kb);
-    psi_b_ = mu * kb * safe_fn_->Eval(scaled);
-    FGM_CHECK_LE(psi_b_, 0.0);
-  } else {
-    psi_b_ = 0.0;
-  }
+  FGM_CHECK_LE(psi_b, 0.0);
+  psi_b_ = psi_b;
   lambda_ = lambda;
   // All drifts are zero after the flush, so the true ψ is
   // live_leaves·λφ(0) = live_m·λ·φ(0)' — the k·λ·φ(0) + ψ_B shape the
@@ -1111,11 +1178,15 @@ void FgmProtocol::EndRound(bool already_flushed) {
     // factor made explicit), so its growth rate scales with L.
     const double lipschitz = cheap_fn_->LipschitzBound();
     for (int j = 0; j < m_; ++j) {
-      const RealVector& x = round_drift_[static_cast<size_t>(j)];
-      phi_end[static_cast<size_t>(j)] = safe_fn_->Eval(x);
-      drift_norm[static_cast<size_t>(j)] = lipschitz * x.Norm();
-      site_updates[static_cast<size_t>(j)] = ChildUpdatesInRound(j);
-      tau += site_updates[static_cast<size_t>(j)];
+      const int64_t updates = ChildUpdatesInRound(j);
+      site_updates[static_cast<size_t>(j)] = updates;
+      tau += updates;
+      // A child without updates sits out the estimate (§4.2.4), which
+      // never reads its φ or drift norm: skip the two O(D) passes.
+      if (updates == 0) continue;
+      phi_end[static_cast<size_t>(j)] =
+          safe_fn_->Eval(round_drift_[static_cast<size_t>(j)]);
+      drift_norm[static_cast<size_t>(j)] = lipschitz * RoundDriftNorm(j);
     }
     if (tau > 0) {
       if (have_rates_) {

@@ -159,6 +159,11 @@ class FgmProtocol : public MonitoringProtocol {
   /// The root-tier transport (testing hook).
   const Transport& transport() const { return *transports_[0]; }
 
+  /// The current round's safe function φ and balance vector B (testing
+  /// hooks: a trace sink can re-derive a rebalance's µ* from them).
+  const SafeFunction& safe_function() const { return *safe_fn_; }
+  const RealVector& balance() const { return balance_; }
+
  private:
   /// One mid-tier aggregator's protocol state. The node is a local
   /// coordinator for its children (z_local/counter_local against
@@ -205,9 +210,14 @@ class FgmProtocol : public MonitoringProtocol {
   /// True when a mostly-cheap round has outspent its budget (see
   /// FgmConfig::feedback_budget_factor).
   bool CheapRoundOverBudget() const;
-  /// Bisection for µ* = inf{µ : φ(B/(µk)) ≥ 0} with k = live leaves;
-  /// returns a value in [0, 1], or 1 when even µ = 1 fails.
+  /// Bisection for µ* = inf{µ : φ(B/(µk)) ≤ 0} with k = live leaves,
+  /// along the ray in O(d) per step; returns a value in [0, 1], or 1 when
+  /// even µ = 1 fails.
   double FindMuStar() const;
+  /// ψ_B = µkφ(B/(µk)) by one dense reference evaluation; O(D).
+  double BalancePsi(double mu) const;
+  /// ‖round_drift_[j]‖, computed on first use in a round.
+  double RoundDriftNorm(int j);
   /// Flush request + drift reply over the root link to child `j`; the
   /// drift joins the balance vector (and, with `book_round`, the child's
   /// per-round optimizer inputs).
@@ -382,6 +392,10 @@ class FgmProtocol : public MonitoringProtocol {
 
   // Optimizer inputs gathered during the round.
   std::vector<RealVector> round_drift_;   // coordinator-side per-child Σflushes
+  /// ‖round_drift_[j]‖, computed once per round on first use and shared
+  /// by the optimizer, the time series and the health monitor; < 0 until
+  /// then.
+  std::vector<double> round_drift_norm_;
   std::vector<int64_t> subtree_updates_;  // per-aggregator flushed updates
   bool have_rates_ = false;
   std::vector<SiteRates> prev_rates_;
@@ -411,6 +425,10 @@ class FgmProtocol : public MonitoringProtocol {
   bool tier_ends_emitted_ = false;
 
   RealVector flush_scratch_;  // verbatim-flush re-projection target
+  /// Root-flush re-projection target, all +0.0 between flushes: only the
+  /// cells in touched_ are ever written, and they are cleared after use.
+  RealVector touched_scratch_;
+  std::vector<size_t> touched_;
   std::vector<CellUpdate> cells_;  // one-argument ProcessRecord's map target
 };
 

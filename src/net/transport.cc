@@ -74,13 +74,16 @@ int64_t Transport::WireSpanId() const {
 
 void ReprojectRawUpdates(const ContinuousQuery& query, int site,
                          const std::vector<RawUpdateMsg>& raw,
-                         RealVector* out) {
+                         RealVector* out, std::vector<size_t>* touched) {
   FGM_CHECK_EQ(out->dim(), query.dimension());
   std::vector<CellUpdate> deltas;
   for (const RawUpdateMsg& u : raw) {
     deltas.clear();
     query.MapRecord(u.ToRecord(site), &deltas);
-    for (const CellUpdate& d : deltas) (*out)[d.index] += d.delta;
+    for (const CellUpdate& d : deltas) {
+      (*out)[d.index] += d.delta;
+      if (touched != nullptr) touched->push_back(d.index);
+    }
   }
 }
 

@@ -175,10 +175,13 @@ Msg Transport::RoundTrip(const Msg& msg) const {
 /// resulting deltas into `out` (which must be zeroed, query-dimensioned) —
 /// what the coordinator of a real deployment does on receiving the
 /// verbatim drift representation. Applying the same deltas in the same
-/// order as the site makes the reconstruction bit-exact.
+/// order as the site makes the reconstruction bit-exact. When `touched`
+/// is given, the index of every delta is appended to it (with repeats):
+/// the cells outside it stay +0.0.
 void ReprojectRawUpdates(const ContinuousQuery& query, int site,
                          const std::vector<RawUpdateMsg>& raw,
-                         RealVector* out);
+                         RealVector* out,
+                         std::vector<size_t>* touched = nullptr);
 
 /// The drift delivered by a flush message: the carried dense vector when
 /// present (counting mode, or a strict-mode dense decode), otherwise the

@@ -201,6 +201,13 @@ JoinSafeFunction::JoinSafeFunction(
 
   at_zero_ = std::max(upper_.AtZero(), lower_.AtZero());
   FGM_CHECK_LT(at_zero_, 0.0);
+
+  eval_qdu_.resize(static_cast<size_t>(d));
+  eval_udu_.resize(static_cast<size_t>(d));
+  eval_qdv_.resize(static_cast<size_t>(d));
+  eval_vdv_.resize(static_cast<size_t>(d));
+  eval_upper_.resize(upper_forms_.size());
+  eval_lower_.resize(lower_forms_.size());
 }
 
 double JoinSafeFunction::Eval(const RealVector& x) const {
@@ -208,34 +215,36 @@ double JoinSafeFunction::Eval(const RealVector& x) const {
   const int w = projection_->width();
   const size_t half = projection_->dimension();
   const int d = projection_->depth();
-  // Per-row primitives computed from scratch.
-  std::vector<double> qdu(static_cast<size_t>(d), 0.0);
-  std::vector<double> udu(qdu), qdv(qdu), vdv(qdu);
+  // Per-row primitives computed from scratch, into the reused scratch.
+  std::fill(eval_qdu_.begin(), eval_qdu_.end(), 0.0);
+  std::fill(eval_udu_.begin(), eval_udu_.end(), 0.0);
+  std::fill(eval_qdv_.begin(), eval_qdv_.end(), 0.0);
+  std::fill(eval_vdv_.begin(), eval_vdv_.end(), 0.0);
   for (int r = 0; r < d; ++r) {
     const size_t base = static_cast<size_t>(r) * static_cast<size_t>(w);
     for (int j = 0; j < w; ++j) {
       const size_t i = base + static_cast<size_t>(j);
       const double du = x[i] + x[half + i];
       const double dv = x[i] - x[half + i];
-      qdu[static_cast<size_t>(r)] += du * du;
-      qdv[static_cast<size_t>(r)] += dv * dv;
-      udu[static_cast<size_t>(r)] += u_ref_[i] * du;
-      vdv[static_cast<size_t>(r)] += v_ref_[i] * dv;
+      eval_qdu_[static_cast<size_t>(r)] += du * du;
+      eval_qdv_[static_cast<size_t>(r)] += dv * dv;
+      eval_udu_[static_cast<size_t>(r)] += u_ref_[i] * du;
+      eval_vdv_[static_cast<size_t>(r)] += v_ref_[i] * dv;
     }
   }
-  std::vector<double> upper_values(upper_forms_.size());
-  std::vector<double> lower_values(lower_forms_.size());
   for (size_t j = 0; j < upper_forms_.size(); ++j) {
     const auto& form = upper_forms_[j];
     const size_t r = static_cast<size_t>(form.row);
-    upper_values[j] = RowValue(form, qdu[r], udu[r], qdv[r], vdv[r], 1.0);
+    eval_upper_[j] = RowValue(form, eval_qdu_[r], eval_udu_[r], eval_qdv_[r],
+                              eval_vdv_[r], 1.0);
   }
   for (size_t j = 0; j < lower_forms_.size(); ++j) {
     const auto& form = lower_forms_[j];
     const size_t r = static_cast<size_t>(form.row);
-    lower_values[j] = RowValue(form, qdu[r], udu[r], qdv[r], vdv[r], 1.0);
+    eval_lower_[j] = RowValue(form, eval_qdu_[r], eval_udu_[r], eval_qdv_[r],
+                              eval_vdv_[r], 1.0);
   }
-  return ComposeSides(upper_values, lower_values);
+  return ComposeSides(eval_upper_, eval_lower_);
 }
 
 std::unique_ptr<DriftEvaluator> JoinSafeFunction::MakeEvaluator() const {

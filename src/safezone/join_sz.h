@@ -96,6 +96,15 @@ class JoinSafeFunction : public SafeFunction {
   MedianComposition upper_;
   MedianComposition lower_;
   double at_zero_ = 0.0;
+
+  // Eval's scratch, reused across calls (the library is single-threaded):
+  // per-row primitives and per-form row values.
+  mutable std::vector<double> eval_qdu_;
+  mutable std::vector<double> eval_udu_;
+  mutable std::vector<double> eval_qdv_;
+  mutable std::vector<double> eval_vdv_;
+  mutable std::vector<double> eval_upper_;
+  mutable std::vector<double> eval_lower_;
 };
 
 }  // namespace fgm

@@ -10,7 +10,6 @@ namespace fgm {
 double PerspectiveEval(const SafeFunction& fn, const RealVector& x,
                        double lambda) {
   FGM_CHECK_GT(lambda, 0.0);
-  FGM_CHECK_LE(lambda, 1.0);
   if (lambda == 1.0) return fn.Eval(x);
   RealVector scaled = x;
   scaled *= 1.0 / lambda;

@@ -44,8 +44,10 @@ class DriftEvaluator {
   /// φ(x) at the current drift.
   virtual double Value() const = 0;
 
-  /// λφ(x/λ), λ ∈ (0, 1] — the perspective used by rebalancing. Equals
-  /// Value() at λ = 1.
+  /// λφ(x/λ) for any λ > 0 — the perspective used by rebalancing: sites
+  /// evaluate it at their scale λ ∈ (0, 1], the coordinator's μ* bisection
+  /// along the ray B/(μk) at λ = μk, which may exceed 1. Equals Value() at
+  /// λ = 1.
   virtual double ValueAtScale(double lambda) const = 0;
 
   /// Resets the drift to 0.
@@ -143,7 +145,7 @@ class ParanoidDriftEvaluator : public DriftEvaluator {
 std::unique_ptr<DriftEvaluator> MakeCheckedEvaluator(
     const SafeFunction* fn, std::unique_ptr<DriftEvaluator> inner);
 
-/// Reference implementation of λφ(x/λ) by explicit scaling; O(D).
+/// Reference implementation of λφ(x/λ), λ > 0, by explicit scaling; O(D).
 double PerspectiveEval(const SafeFunction& fn, const RealVector& x,
                        double lambda);
 

@@ -14,6 +14,8 @@
 #include "core/fgm_protocol.h"
 #include "driver/runner.h"
 #include "gm/gm_protocol.h"
+#include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "stream/partition.h"
 #include "stream/window.h"
 #include "stream/worldcup.h"
@@ -148,6 +150,153 @@ TEST(FgmProtocol, RebalancingExtendsRounds) {
   EXPECT_GT(r_with.rebalances, 0);
   // Rebalancing must reduce the number of E-shipping rounds.
   EXPECT_LT(r_with.rounds, r_without.rounds);
+}
+
+// The dense reference for µ* = inf{µ : φ(B/(µk)) ≤ 0}: the bisection of
+// §4.1 with every step rescaling B and evaluating φ from scratch.
+double DenseMuStar(const SafeFunction& fn, const RealVector& balance,
+                   double k, double tol) {
+  if (balance.Norm() == 0.0) return 0.0;
+  auto g = [&](double mu) {
+    RealVector scaled = balance;
+    scaled *= 1.0 / (mu * k);
+    return fn.Eval(scaled);
+  };
+  if (g(1.0) >= 0.0) return 1.0;
+  double lo = 1e-6, hi = 1.0;
+  if (g(lo) < 0.0) return 0.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    const double v = g(mid);
+    if (v < 0.0) {
+      hi = mid;
+      if (v > -tol) break;
+    } else {
+      lo = mid;
+    }
+  }
+  return hi;
+}
+
+// At every Rebalance event, re-derives µ* and ψ_B densely from the
+// coordinator's φ and B (unchanged between the bisection and the event).
+class RebalanceAuditSink : public TraceSink {
+ public:
+  RebalanceAuditSink(int sites, double bisection_tol)
+      : k_(static_cast<double>(sites)), bisection_tol_(bisection_tol) {}
+
+  void Attach(const FgmProtocol* protocol) { protocol_ = protocol; }
+  int64_t rebalances() const { return rebalances_; }
+
+ protected:
+  void OnEvent(const TraceEvent& e) override {
+    if (e.kind != TraceEventKind::kRebalance) return;
+    ++rebalances_;
+    const SafeFunction& fn = protocol_->safe_function();
+    const RealVector& balance = protocol_->balance();
+    const double tol = bisection_tol_ * std::fabs(fn.AtZero());
+    const double mu = DenseMuStar(fn, balance, k_, tol);
+    EXPECT_EQ(e.lambda, 1.0 - mu) << "rebalance " << rebalances_;
+    double psi_b = 0.0;
+    if (mu > 0.0) {
+      RealVector scaled = balance;
+      scaled *= 1.0 / (mu * k_);
+      psi_b = mu * k_ * fn.Eval(scaled);
+    }
+    EXPECT_EQ(e.value, psi_b) << "rebalance " << rebalances_;
+    EXPECT_LE(e.value, 0.0) << "rebalance " << rebalances_;
+  }
+
+ private:
+  const FgmProtocol* protocol_ = nullptr;
+  double k_;
+  double bisection_tol_;
+  int64_t rebalances_ = 0;
+};
+
+// The rebalance-heavy FGM/O join regime (Fig. 4 adverse): small ε, a
+// window, 27 sites, D = 400. Rounds are long, rebalances frequent, and
+// most flushes carry a few raw updates verbatim.
+constexpr int kAdverseSites = 27;
+
+RunConfig AdverseJoinRun() {
+  RunConfig rc;
+  rc.protocol = ProtocolKind::kFgmOpt;
+  rc.query = QueryKind::kJoin;
+  rc.sites = kAdverseSites;
+  rc.depth = 5;
+  rc.width = 40;
+  rc.epsilon = 0.04;
+  return rc;
+}
+
+std::vector<StreamRecord> AdverseJoinTrace() {
+  WorldCupConfig wc;
+  wc.sites = kAdverseSites;
+  wc.total_updates = 20000;
+  return GenerateWorldCupTrace(wc);
+}
+
+TEST(FgmProtocol, RebalanceMuStarMatchesDenseBisection) {
+  // The coordinator's ray bisection must pick exactly the µ* of the dense
+  // reference bisection, and ψ_B ≤ 0, at every rebalance.
+  auto query = MakeQuery(AdverseJoinRun());
+  const auto trace = AdverseJoinTrace();
+  FgmConfig fc;
+  fc.optimizer = true;
+  RebalanceAuditSink audit(kAdverseSites, fc.bisection_tol);
+  fc.trace = &audit;
+  FgmProtocol protocol(query.get(), kAdverseSites, fc);
+  audit.Attach(&protocol);
+  SlidingWindowStream events(&trace, 3600.0);
+  while (const StreamRecord* rec = events.Next()) {
+    protocol.ProcessRecord(*rec);
+  }
+  EXPECT_EQ(audit.rebalances(), protocol.rebalances());
+  EXPECT_GT(protocol.rebalances(), 20);
+}
+
+TEST(FgmProtocol, RoundDriftsHoldEveryUpdateOfTheRound) {
+  // The coordinator's per-child round drift is the sum of the child's
+  // flushes — dense and verbatim, at rebalances and at the round end —
+  // so it equals the sum of every update the child saw in the round. Its
+  // norms reach the round's time-series sample.
+  auto query = MakeQuery(AdverseJoinRun());
+  const auto trace = AdverseJoinTrace();
+  TimeSeries series;
+  FgmConfig fc;
+  fc.optimizer = true;
+  fc.timeseries = &series;
+  FgmProtocol protocol(query.get(), kAdverseSites, fc);
+  std::vector<RealVector> drift(kAdverseSites,
+                                RealVector(query->dimension()));
+  std::vector<CellUpdate> cells;
+  int64_t rounds = protocol.rounds();
+  int64_t checked = 0;
+  SlidingWindowStream events(&trace, 3600.0);
+  while (const StreamRecord* rec = events.Next()) {
+    cells.clear();
+    query->MapRecord(*rec, &cells);
+    for (const CellUpdate& c : cells) {
+      drift[static_cast<size_t>(rec->site)][c.index] += c.delta;
+    }
+    protocol.ProcessRecord(*rec, cells);
+    if (protocol.rounds() == rounds) continue;
+    rounds = protocol.rounds();
+    double norm_max = 0.0, norm_mean = 0.0;
+    for (RealVector& x : drift) {
+      norm_max = std::max(norm_max, x.Norm());
+      norm_mean += x.Norm() / kAdverseSites;
+      x.SetZero();
+    }
+    const RunSnapshot s = series.Samples().back();
+    ASSERT_EQ(s.round, rounds - 1);
+    EXPECT_NEAR(s.drift_norm_max, norm_max, 1e-9 * (1.0 + norm_max));
+    EXPECT_NEAR(s.drift_norm_mean, norm_mean, 1e-9 * (1.0 + norm_mean));
+    ++checked;
+  }
+  EXPECT_GT(checked, 100);
+  EXPECT_GT(protocol.rebalances(), 20);
 }
 
 TEST(FgmProtocol, PsiStaysBelowZeroWhileCertified) {

@@ -9,13 +9,22 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "safezone/ball.h"
+#include "safezone/cheap_bound.h"
+#include "safezone/compose.h"
+#include "safezone/halfspace.h"
+#include "safezone/heavy_hitters_sz.h"
 #include "safezone/join_sz.h"
+#include "safezone/lifted.h"
 #include "safezone/median_compose.h"
+#include "safezone/norm_threshold.h"
 #include "safezone/selfjoin_sz.h"
+#include "safezone/variance_sz.h"
 #include "sketch/fast_agms.h"
 #include "util/rng.h"
 #include "util/subsets.h"
@@ -314,6 +323,121 @@ TEST(JoinSafeFunction, NegativeEstimateReference) {
   }
   EXPECT_GT(quiescent, 10);
 }
+
+// ---------------------------------------------------------------------------
+// The perspective λφ(x/λ) for every λ > 0. Sites evaluate it at their
+// rebalancing scale λ ≤ 1; the coordinator's µ* bisection evaluates it
+// along the ray B/(µk) at λ = µk, which exceeds 1. Every shipped
+// evaluator's ValueAtScale must match the dense reference λ·Eval(x/λ).
+
+std::unique_ptr<SafeFunction> MakeShipped(const std::string& name,
+                                          Xoshiro256ss& rng) {
+  if (name == "Ball") {
+    return std::make_unique<BallSafeFunction>(RandomVector(8, 1.0, rng),
+                                              6.0);
+  }
+  if (name == "Halfspace") {
+    return std::make_unique<HalfspaceSafeFunction>(RandomVector(8, 1.0, rng),
+                                                   -2.0);
+  }
+  if (name == "CheapBound") {
+    return std::make_unique<CheapBoundFunction>(8, -3.0, 1.5);
+  }
+  if (name == "L2Threshold") {
+    return std::make_unique<LpNormThreshold>(RandomVector(8, 0.5, rng), 2.0,
+                                             8.0);
+  }
+  if (name == "L3Threshold") {
+    return std::make_unique<LpNormThreshold>(RandomVector(8, 0.5, rng), 3.0,
+                                             8.0);
+  }
+  if (name == "F2TwoSided") {  // MaxComposition
+    return MakeF2TwoSided(RandomVector(8, 2.0, rng), 0.15);
+  }
+  if (name == "SumComposition") {
+    std::vector<std::unique_ptr<SafeFunction>> children;
+    children.push_back(
+        std::make_unique<BallSafeFunction>(RandomVector(8, 1.0, rng), 6.0));
+    children.push_back(std::make_unique<HalfspaceSafeFunction>(
+        RandomVector(8, 1.0, rng), -2.0));
+    return std::make_unique<SumComposition>(std::move(children));
+  }
+  if (name == "Lifted") {
+    return std::make_unique<LiftedSafeFunction>(
+        std::make_unique<BallSafeFunction>(RandomVector(4, 1.0, rng), 5.0),
+        /*offset=*/3, /*total_dim=*/9);
+  }
+  if (name == "Variance") {  // NaiveDriftEvaluator children
+    return MakeVarianceSafeFunction(RealVector{60.0, 240.0, 1680.0}, 9.0,
+                                    15.0);
+  }
+  if (name == "HeavyHitters") {
+    RealVector e(24);
+    ZipfDistribution zipf(24, 1.2);
+    for (int i = 0; i < 4000; ++i) e[zipf.Sample(rng) - 1] += 1.0;
+    return std::make_unique<HeavyHitterSafeFunction>(e, 0.08, 0.03);
+  }
+  auto proj = std::make_shared<const AgmsProjection>(5, 16, 7);
+  if (name == "SelfJoin") {
+    const RealVector e = ReferenceSketch(*proj, 1000, rng);
+    const double q = SelfJoinEstimate(*proj, e);
+    return std::make_unique<SelfJoinSafeFunction>(proj, e, 0.7 * q, 1.3 * q);
+  }
+  if (name == "Join") {
+    const RealVector e =
+        ReferenceSketch(*proj, 2000, rng, /*concatenated=*/true);
+    const double q = JoinEstimateConcatenated(*proj, e);
+    const double margin = std::max(0.3 * std::fabs(q), 1.0);
+    return std::make_unique<JoinSafeFunction>(proj, e, q - margin,
+                                              q + margin);
+  }
+  return nullptr;
+}
+
+class PerspectiveTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PerspectiveTest, ValueAtScaleMatchesDenseReferenceForAnyLambda) {
+  Xoshiro256ss rng(23);
+  const std::unique_ptr<SafeFunction> fn = MakeShipped(GetParam(), rng);
+  ASSERT_NE(fn, nullptr);
+  const size_t dim = fn->dimension();
+  const double phi0 = std::fabs(fn->AtZero());
+  for (int trial = 0; trial < 30; ++trial) {
+    // Drifts from well inside the zone to well outside it; every
+    // coordinate is loaded once, then a few cells move again.
+    const double scale = phi0 * (0.05 + 3.0 * rng.NextDouble()) /
+                         std::sqrt(static_cast<double>(dim));
+    auto eval = fn->MakeEvaluator();
+    RealVector x = RandomVector(dim, scale, rng);
+    for (size_t i = 0; i < dim; ++i) eval->ApplyDelta(i, x[i]);
+    for (int t = 0; t < 5; ++t) {
+      const size_t i = rng.NextBounded(dim);
+      const double delta = scale * rng.NextGaussian();
+      eval->ApplyDelta(i, delta);
+      x[i] += delta;
+    }
+    for (const double lambda : {0.3, 1.0, 4.0, 27.0, 500.0}) {
+      RealVector scaled = x;
+      scaled *= 1.0 / lambda;
+      const double reference = lambda * fn->Eval(scaled);
+      // Relative to the perspective's own magnitude, which the terms of
+      // λφ(x/λ) reach even where they cancel: λ|φ(0)| + ‖x‖.
+      const double magnitude =
+          std::max(std::fabs(reference), lambda * phi0 + x.Norm());
+      ASSERT_NEAR(eval->ValueAtScale(lambda), reference, 1e-9 * magnitude)
+          << GetParam() << " trial " << trial << " lambda " << lambda;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryShippedEvaluator, PerspectiveTest,
+    ::testing::Values("Ball", "Halfspace", "CheapBound", "L2Threshold",
+                      "L3Threshold", "F2TwoSided", "SumComposition", "Lifted",
+                      "Variance", "HeavyHitters", "SelfJoin", "Join"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 }  // namespace
 }  // namespace fgm
